@@ -10,6 +10,7 @@ package ssmobile_test
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -19,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"ssmobile/internal/cluster"
 	"ssmobile/internal/core"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/prof"
@@ -266,6 +268,55 @@ func BenchmarkTracedServeThroughput(b *testing.B) {
 			b.ReportMetric(st.Lat.Quantile(0.99)/1e6, "p99-vms")
 		})
 	}
+}
+
+// BenchmarkClusterThroughput drives the E14 four-node cluster cell — four
+// aged cards from core.NewClusterNode behind the router — with E14's
+// 32-client open-loop workload. Node assembly and aging run with the
+// timer stopped, so ns/op and allocs/op are the routed serving path
+// alone, health sweeps included: the router checks every node's
+// free-block margin every 64 requests, and a sweep that allocated per
+// node (a registry scrape, say) would multiply straight into allocs/op.
+func BenchmarkClusterThroughput(b *testing.B) {
+	var st server.RunStats
+	var cst cluster.Stats
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		nodes := make([]*cluster.Node, 4)
+		for j := range nodes {
+			node, _, err := core.NewClusterNode(core.ClusterNodeConfig{
+				Name: fmt.Sprintf("n%d", j),
+				System: core.SolidStateConfig{
+					DRAMBytes: 8 << 20, FlashBytes: 8 << 20, BufferBytes: 1 << 20,
+					RBoxBytes: 512 << 10, IdleCleanBlocks: 24, WriteBackDelay: 2 * sim.Second,
+				},
+				AgeBytes: 6 << 20,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			nodes[j] = node
+		}
+		cl, err := cluster.New(nodes, cluster.Config{RebalanceMargin: 0.05})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		st, err = server.RunWorkload(cl, workload.Config{
+			Seed: benchSeed, Clients: 32, OpsPerClient: 250, Keys: 6,
+			ObjectBytes: 32 << 10, MinWriteBytes: 4096, MaxWriteBytes: 4096,
+			Mix:        workload.Mix{Read: 0.4, Write: 0.54, Truncate: 0.012, Delete: 0.018, Sync: 0.03},
+			Popularity: workload.Zipf, ZipfSkew: 1.2,
+			Arrival: workload.OpenLoop, RatePerClient: 10,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cst = cl.ClusterStats()
+	}
+	b.ReportMetric(st.CompletedRate(), "served-vop/s")
+	b.ReportMetric(st.Lat.Quantile(0.99)/1e6, "p99-vms")
+	b.ReportMetric(float64(cst.Rebalances), "rebalances")
 }
 
 // serveWorkload builds a fresh serving stack over the named storage

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ssmsim [-seed N] [-parallel P] [-metrics FILE] [-trace-out FILE] [-trace-jsonl FILE] all
+//	ssmsim [-seed N] [-parallel P] [-timings] [-metrics FILE] [-trace-out FILE] [-trace-jsonl FILE] all
 //	                                            run every experiment
 //	ssmsim [flags] e1 e3 ...                    run selected experiments
 //	ssmsim list                                 list experiment ids
@@ -27,8 +27,12 @@
 // gauges and histograms as JSON; -trace-out writes the retained op spans
 // in Chrome trace_event format (open in chrome://tracing or
 // https://ui.perfetto.dev); -trace-jsonl writes them as JSON lines.
-// -cpuprofile/-memprofile write pprof profiles. See DESIGN.md for the
-// experiment index and EXPERIMENTS.md for the paper-vs-measured record.
+// -cpuprofile/-memprofile write pprof profiles. -timings prints each
+// experiment's host cost — wall time, heap allocations (count and MB)
+// and GC cycles — to stderr, one line per experiment id (one line for
+// the whole run under "all"), leaving stdout unchanged. See DESIGN.md
+// for the experiment index and EXPERIMENTS.md for the paper-vs-measured
+// record.
 package main
 
 import (
@@ -36,6 +40,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"time"
 
 	"ssmobile/internal/core"
 	"ssmobile/internal/crashtest"
@@ -55,6 +60,7 @@ func main() {
 	traceCap := flag.Int("trace-cap", 0, "span ring-buffer capacity (0 = default 65536; oldest spans drop first)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
+	timings := flag.Bool("timings", false, "print each experiment's wall time, allocations and GC cycles to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ssmsim [flags] all | list | replay ... | crash ... | <experiment id>...\n")
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", core.ExperimentIDs())
@@ -89,10 +95,15 @@ func main() {
 	case "crash":
 		runErr = crash(args[1:])
 	case "all":
-		runErr = core.RunAllParallel(os.Stdout, *seed, *parallel)
+		runErr = timed(*timings, "all", func() error {
+			return core.RunAllParallel(os.Stdout, *seed, *parallel)
+		})
 	default:
 		for _, id := range args {
-			if runErr = core.RunExperimentParallel(os.Stdout, id, *seed, *parallel); runErr != nil {
+			runErr = timed(*timings, id, func() error {
+				return core.RunExperimentParallel(os.Stdout, id, *seed, *parallel)
+			})
+			if runErr != nil {
 				break
 			}
 		}
@@ -117,6 +128,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ssmsim:", runErr)
 		os.Exit(1)
 	}
+}
+
+// timed runs f and, when enabled, prints its host cost to stderr: wall
+// time, heap allocations (count and MB) and GC cycles, from the runtime's
+// cumulative counters read before and after.
+func timed(enabled bool, name string, f func() error) error {
+	if !enabled {
+		return f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	err := f()
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	fmt.Fprintf(os.Stderr, "ssmsim: timing %s wall_s=%.3f allocs=%d alloc_mb=%.1f gc=%d\n",
+		name, wall.Seconds(), after.Mallocs-before.Mallocs,
+		float64(after.TotalAlloc-before.TotalAlloc)/(1<<20), after.NumGC-before.NumGC)
+	return err
 }
 
 func fatal(err error) {

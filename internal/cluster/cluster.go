@@ -20,12 +20,14 @@
 //     node still holds. The periodic health sweep re-replicates
 //     under-copied keys and propagates pending deletes as soon as the
 //     cluster can, not only after a node restart;
-//   - rebalancing: the router watches each node's SMART-style health
-//     report (flash.HealthFromSnapshot over the node's own metrics
-//     registry — the same pure function behind /debug/health) and, when
-//     a card ages toward its free-block margin, cordons the node and
-//     migrates its keys to healthier cards, deleting the moved objects
-//     so the aging card's cleaner gets its space back.
+//   - rebalancing: the router reads each node's free-block margin from
+//     its storage engine (server.Server.FreeBlockMargin — the same
+//     free/total ratio /debug/health reports) and, when a card ages
+//     toward its margin, cordons the node and migrates its keys to
+//     healthier cards, deleting the moved objects so the aging card's
+//     cleaner gets its space back. Telemetry is one-way: health checks
+//     never read a node's metrics registry, so an unobserved node is
+//     rebalanced exactly like an observed one.
 //
 // Admission-control sheds stay node-local by design: a write shed by one
 // node's watermark controller is retried against the same node with
@@ -48,7 +50,6 @@ import (
 	"sort"
 	"sync"
 
-	"ssmobile/internal/flash"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/server"
 	"ssmobile/internal/sim"
@@ -72,9 +73,9 @@ type Node struct {
 	// single-threaded simulation time).
 	Clock *sim.Clock
 	// Obs is the node's private observer; its registry carries the wear
-	// telemetry the router's health checks read. Required for
-	// rebalancing; a nil Obs (or one without a registry) disables health
-	// checks for the node.
+	// telemetry the fleet rollup (FleetSnapshot, /debug/fleet) reports.
+	// Optional: a nil Obs drops the node from the rollup but not from
+	// rebalancing, whose health checks read the engine through Srv.
 	Obs *obs.Observer
 	// Restart, if set, recovers the node after a kill — remounting the
 	// card as after a power failure (synced data survives, unsynced DRAM
@@ -668,8 +669,8 @@ func removeNode(list []int, n int) []int {
 	return list
 }
 
-// checkHealth sweeps every live node's SMART report and cordons nodes
-// whose free-block margin has sunk below the rebalance threshold,
+// checkHealth sweeps every live node's free-block margin and cordons
+// nodes whose margin has sunk below the rebalance threshold,
 // migrating their keys to healthier cards. Recovered nodes (margin back
 // above the uncordon threshold, e.g. after migration freed their space)
 // rejoin placement. When any directory entry is degraded — under the
@@ -682,7 +683,11 @@ func (c *Cluster) checkHealth(arrival sim.Time) {
 		if c.down[i] {
 			continue
 		}
-		margin, ok := c.nodeMargin(i)
+		// The node's current server (RestartNode swaps in a new one over
+		// the remounted stack) reads the margin typed from its engine:
+		// the same free/total ratio /debug/health derives from the
+		// node's telemetry, which the control plane never reads.
+		margin, ok := c.nodes[i].Srv.FreeBlockMargin()
 		if !ok {
 			continue
 		}
@@ -715,21 +720,6 @@ func (c *Cluster) checkHealth(arrival sim.Time) {
 		}
 	}
 	c.refreshFleetGauges()
-}
-
-// nodeMargin reads node i's free-block margin from its health report —
-// the same flash.HealthFromSnapshot pure function behind /debug/health,
-// over the node's own metrics registry. Caller holds c.mu.
-func (c *Cluster) nodeMargin(i int) (float64, bool) {
-	o := c.nodes[i].Obs
-	if o == nil || o.Registry == nil {
-		return 0, false
-	}
-	rep, err := flash.HealthFromSnapshot(o.Registry.Snapshot(), "flash")
-	if err != nil || rep.FreeBlockMargin < 0 {
-		return 0, false
-	}
-	return rep.FreeBlockMargin, true
 }
 
 // migrateOff moves every key held by node i to a healthy replacement:

@@ -31,6 +31,11 @@ func replayThroughBufferBS(o *obs.Observer, tr *trace.Trace, capacityBytes int64
 	if err != nil {
 		return wbuf.Stats{}, err
 	}
+	// Only write sizes matter to the buffer, never contents, so every
+	// write replays the same zeroed block. Safe to share: Write copies
+	// into the buffer's own entry on both the new-entry and overwrite
+	// paths, and the sink discards what it is handed.
+	zeros := make([]byte, bs)
 	for _, op := range tr.Ops {
 		clock.AdvanceTo(sim.Time(op.Time))
 		if err := b.Tick(); err != nil {
@@ -45,7 +50,7 @@ func replayThroughBufferBS(o *obs.Observer, tr *trace.Trace, capacityBytes int64
 				if n > remaining {
 					n = remaining
 				}
-				if err := b.Write(wbuf.Key{Object: uint64(op.File), Block: blk}, make([]byte, n)); err != nil {
+				if err := b.Write(wbuf.Key{Object: uint64(op.File), Block: blk}, zeros[:n]); err != nil {
 					return wbuf.Stats{}, err
 				}
 				off += int64(n)

@@ -17,8 +17,9 @@ type ClusterNodeConfig struct {
 	// Name identifies the node on the placement ring.
 	Name string
 	// System parameterises the node's card stack; Obs is overridden with
-	// the node's private observer (the router's health checks need each
-	// node's telemetry isolated — and so does deterministic merging).
+	// the node's private observer (the fleet rollup's per-card health
+	// reports need each node's telemetry isolated — and so does
+	// deterministic merging).
 	System SolidStateConfig
 	// AgeBytes streams this much data through the stack and deletes it
 	// before serving, leaving the card full of dead pages as months of
@@ -85,8 +86,8 @@ func NewClusterNode(cfg ClusterNodeConfig) (*cluster.Node, *obs.Observer, error)
 // slowest holder); a shed write is retried against the same node with
 // virtual-time backoff, so one node's overload never cascades. The last
 // row plants one node near its free-block margin: the router's health
-// sweep (the E13 SMART report) cordons it mid-run and migrates its keys
-// to healthier cards.
+// sweep (the engine's free-block margin, the figure the E13 SMART report
+// shows) cordons it mid-run and migrates its keys to healthier cards.
 //
 // Everything is in-process virtual time — the table is a pure function
 // of the seed, byte-identical across runs and -parallel levels.

@@ -615,6 +615,20 @@ func (s *Server) Shedding() bool {
 	return s.shedding
 }
 
+// FreeBlockMargin reports the backend engine's free-block margin — the
+// free fraction of its block pool, engine.Stats().FreeBlockMargin — and
+// false when the server has no engine. The cluster router's health
+// sweep reads it here rather than from the node's telemetry, so
+// rebalancing works whether or not the node is observed.
+func (s *Server) FreeBlockMargin() (float64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.b.Engine == nil {
+		return 0, false
+	}
+	return s.b.Engine.Stats().FreeBlockMargin, true
+}
+
 // Stats returns a snapshot of the request accounting.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()

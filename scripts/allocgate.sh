@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
-# Allocation-regression gate for the serve hot path.
+# Allocation-regression gate for the serve and cluster hot paths.
 #
-# Runs the serve benchmarks with -benchmem and fails if any benchmark's
-# allocs/op exceeds its budget in alloc_budget.txt. Run by CI on every
-# push and locally via `make allocgate`.
+# Runs the serve and cluster benchmarks with -benchmem and fails if any
+# benchmark's allocs/op exceeds its budget in alloc_budget.txt. Run by
+# CI on every push and locally via `make allocgate`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 budget_file=alloc_budget.txt
 
 out=$(go test -run '^$' -benchtime 5x -benchmem \
-	-bench 'BenchmarkServeThroughput$|BenchmarkTracedServeThroughput$' .)
+	-bench 'BenchmarkServeThroughput$|BenchmarkTracedServeThroughput$|BenchmarkClusterThroughput$' .)
 echo "$out"
 
 fail=0
