@@ -161,6 +161,21 @@ func RunAllParallel(w io.Writer, seed int64, par int) error {
 // it to assert that stdout is byte-identical whether the observer traces
 // or not — telemetry must never feed back into results.
 func RunAllParallelWithObserver(w io.Writer, seed int64, par int, o *obs.Observer) error {
+	results, err := runAll(seed, par, o)
+	for _, tables := range results {
+		if tables == nil {
+			break // first failing (or never-run) experiment
+		}
+		for _, t := range tables {
+			t.Fprint(w)
+		}
+	}
+	return err
+}
+
+// runAll runs every experiment and returns each one's tables in
+// experiment-id order; a failing or never-run experiment leaves nil.
+func runAll(seed int64, par int, o *obs.Observer) ([][]*Table, error) {
 	ids := ExperimentIDs()
 	reg := Registry(seed)
 	root := &Env{obs: obs.Or(o), sched: newSched(par)}
@@ -173,13 +188,5 @@ func RunAllParallelWithObserver(w io.Writer, seed int64, par int, o *obs.Observe
 		results[i] = tables
 		return nil
 	})
-	for _, tables := range results {
-		if tables == nil {
-			break // first failing (or never-run) experiment
-		}
-		for _, t := range tables {
-			t.Fprint(w)
-		}
-	}
-	return err
+	return results, err
 }

@@ -65,15 +65,18 @@ type MountStats struct {
 //     resurrect after a crash, but only with bytes it actually held.
 //   - Engines register their wear and cleaning telemetry under an
 //     "engine" label (free_blocks, cleaner_lag_blocks,
-//     write_amplification overall and per obs.Cause), so two backends
-//     report into the same dashboards without colliding.
+//     write_amplification overall and per obs.Cause — the shared block
+//     layer, engine/blockmgr, registers them), so two backends report
+//     into the same dashboards without colliding.
 type Engine interface {
 	// Name identifies the backend ("ftl", "pdl") in tables and labels.
 	Name() string
 	// PageBytes reports the mapping granularity.
 	PageBytes() int
-	// LogicalPages reports the host-visible capacity in pages; it can
-	// shrink as worn blocks retire.
+	// LogicalPages reports the host-visible capacity in pages. It is
+	// fixed for the engine's life: a retired block spends
+	// over-provisioning, and ErrNoSpace from the cleaner is the
+	// end-of-life signal.
 	LogicalPages() int64
 	// LogicalBytes reports the host-visible capacity in bytes.
 	LogicalBytes() int64

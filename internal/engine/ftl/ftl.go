@@ -2,7 +2,7 @@
 // the storage-engine interface. The FTL is embedded, so every method the
 // interface shares with *ftl.FTL devirtualizes to the original code with
 // zero wrapping cost — the adapter only names the backend, translates the
-// stats structs, and supplies the no-op Sync (the FTL programs
+// stats struct, and supplies the no-op Sync (the FTL programs
 // synchronously).
 package engineftl
 
@@ -56,10 +56,6 @@ func (e *Engine) PersistsMapping() bool { return e.FTL.Config().PersistMapping }
 func (e *Engine) Stats() engine.Stats {
 	fs := e.FTL.Stats()
 	ds := e.FTL.Device().Stats()
-	margin := 0.0
-	if nb := e.FTL.Device().NumBlocks(); nb > 0 {
-		margin = float64(e.FTL.FreeBlocks()) / float64(nb)
-	}
 	return engine.Stats{
 		HostWrites:           fs.HostWrites,
 		HostReads:            fs.HostReads,
@@ -72,17 +68,7 @@ func (e *Engine) Stats() engine.Stats {
 		IdleCleans:           fs.IdleCleans,
 		WriteAmplification:   fs.WriteAmplification,
 		FreeBlocks:           e.FTL.FreeBlocks(),
-		FreeBlockMargin:      margin,
+		FreeBlockMargin:      e.FTL.FreeBlockMargin(),
 		RetiredBlocks:        fs.RetiredBlocks,
-	}
-}
-
-// MountStats reports what the FTL's mount scan found.
-func (e *Engine) MountStats() engine.MountStats {
-	ms := e.FTL.MountStats()
-	return engine.MountStats{
-		CorruptRecords: ms.CorruptRecords,
-		ReErasedBlocks: ms.ReErasedBlocks,
-		RetiredBlocks:  ms.RetiredBlocks,
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"ssmobile/internal/engine"
 	"ssmobile/internal/flash"
-	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 )
 
@@ -120,20 +119,12 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Destructive work the scan performs (re-erasing blocks a torn
-	// program left dirty) is recovery, not cleaning.
-	defer e.obs.PushCause(obs.CauseMountRecovery)()
-
 	type baseClaim struct {
 		ppn int64
 		seq uint64
 		tag engine.Tag
 	}
 	best := make(map[int64]baseClaim)
-	unitKinds := make([]int8, e.totalUnits) // -1 none, else unit kind
-	for i := range unitKinds {
-		unitKinds[i] = -1
-	}
 	var deltaUnits []int64
 	rec := make([]byte, unitRecordBytes)
 	var maxSeq uint64
@@ -152,9 +143,15 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 		if seq > maxSeq {
 			maxSeq = seq
 		}
-		unitKinds[ppn] = int8(kind)
+		// Any record keeps its block out of the free pool; a block with
+		// a log unit is a delta block.
+		info := &e.blocks[e.blockOf(ppn)]
 		switch kind {
 		case unitKindBase:
+			info.unitsUsed++
+			if info.kind != blockDelta {
+				info.kind = blockBase
+			}
 			if lpn < 0 || lpn >= e.logicalPages {
 				continue // stale record beyond this geometry
 			}
@@ -162,69 +159,23 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 				best[lpn] = baseClaim{ppn: ppn, seq: seq, tag: tag}
 			}
 		case unitKindDelta:
+			info.unitsUsed++
+			info.kind = blockDelta
 			deltaUnits = append(deltaUnits, ppn)
 		}
 	}
 
-	// Classify blocks: any valid record keeps a block out of the free
-	// pool; recordless blocks that fail the blank check are re-erased
-	// (allocation programs free blocks without erasing first); worn
-	// blocks retire again.
-	for b := 0; b < e.numBlocks; b++ {
-		base := int64(b) * int64(e.ppb)
-		used, deltas := 0, 0
-		for i := 0; i < e.ppb; i++ {
-			switch unitKinds[base+int64(i)] {
-			case unitKindBase:
-				used++
-			case unitKindDelta:
-				used++
-				deltas++
-			}
-		}
-		if dev.WornOut(b) {
-			e.freeCount--
-			e.blocks[b] = blockInfo{retired: true}
-			e.retired++
-			e.logicalPages -= int64(e.ppb)
-			if e.logicalPages < 0 {
-				e.logicalPages = 0
-			}
-			e.mountStats.RetiredBlocks++
-			continue
-		}
-		if used == 0 {
-			if _, dirty := e.blockNonBlankAt(b); dirty {
-				if _, err := dev.Erase(b); err != nil {
-					return nil, err
-				}
-				e.mountStats.ReErasedBlocks++
-				if dev.WornOut(b) {
-					e.freeCount--
-					e.blocks[b] = blockInfo{retired: true}
-					e.retired++
-					e.logicalPages -= int64(e.ppb)
-					if e.logicalPages < 0 {
-						e.logicalPages = 0
-					}
-					e.mountStats.RetiredBlocks++
-				}
-			}
-			continue // stays free
-		}
-		e.freeCount--
-		kind := blockBase
-		if deltas > 0 {
-			kind = blockDelta
-		}
-		e.blocks[b] = blockInfo{kind: kind, unitsUsed: used}
+	// The block pass retires worn empty blocks and re-erases dirty ones.
+	hasRecords := make([]bool, e.numBlocks)
+	for b := range e.blocks {
+		hasRecords[b] = e.blocks[b].unitsUsed > 0
+	}
+	if err := e.bm.Mount(&e.mountStats, hasRecords, nil); err != nil {
+		return nil, err
 	}
 
 	// Install the winning base claims.
 	for lpn, c := range best {
-		if e.blocks[e.blockOf(c.ppn)].retired {
-			continue
-		}
 		pm := &e.pages[lpn]
 		pm.basePpn, pm.baseSeq, pm.tag = c.ppn, c.seq, c.tag
 		e.rev[c.ppn] = lpn
@@ -236,9 +187,6 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 	unitBuf := make([]byte, e.cfg.PageBytes)
 	perPage := make(map[int64][]deltaRef)
 	for _, ppn := range deltaUnits {
-		if e.blocks[e.blockOf(ppn)].retired {
-			continue
-		}
 		if _, err := dev.Read(e.unitAddr(ppn), unitBuf); err != nil {
 			return nil, err
 		}

@@ -32,6 +32,7 @@ import (
 	"fmt"
 
 	"ssmobile/internal/engine"
+	"ssmobile/internal/engine/blockmgr"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
@@ -86,9 +87,7 @@ const (
 )
 
 type blockInfo struct {
-	kind    blockKind
-	active  bool // current base or delta log head
-	retired bool
+	kind blockKind
 	// unitsUsed counts page-sized units consumed (base pages written,
 	// or delta units opened).
 	unitsUsed int
@@ -133,9 +132,7 @@ type Engine struct {
 	pages  []pageMeta
 	rev    []int64 // unit → lpn for live base pages, -1 otherwise
 	blocks []blockInfo
-
-	freeCount int
-	retired   int
+	bm     *blockmgr.Manager // block lifecycle, erase-or-retire, reclaim loops
 
 	baseActive  int // block id of the base log head, -1 when none
 	basePtr     int // next unit within it
@@ -144,7 +141,7 @@ type Engine struct {
 	deltaOff    int // append offset within that unit
 
 	writeSeq uint64
-	cleaning bool // suppresses ensureSpace recursion under cleanOne
+	cleaning bool // suppresses EnsureSpace recursion under relocate
 
 	mountStats engine.MountStats
 
@@ -157,11 +154,8 @@ type Engine struct {
 	recBuf   []byte
 	oobBuf   [unitRecordBytes]byte
 
-	obs                    *obs.Observer
 	hostWrites, hostReads  *obs.Counter
-	hostBytes              *obs.Counter
-	cleans, copies         *obs.Counter
-	idleCleans             *obs.Counter
+	hostBytes, copies      *obs.Counter
 	deltaWrites, promotion *obs.Counter
 }
 
@@ -212,7 +206,6 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 		pages:        make([]pageMeta, total-overhead),
 		rev:          make([]int64, total),
 		blocks:       make([]blockInfo, nb),
-		freeCount:    nb,
 		baseActive:   -1,
 		deltaActive:  -1,
 		mergeBuf:     make([]byte, cfg.PageBytes),
@@ -226,36 +219,26 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*Engine, error) {
 		e.rev[i] = -1
 	}
 	o := obs.Or(cfg.Obs)
-	e.obs = o
 	lbl := func(op string) obs.Labels { return obs.Labels{"layer": "pdl", "op": op} }
 	e.hostWrites = o.Counter("host_ops_total", lbl("write"))
 	e.hostReads = o.Counter("host_ops_total", lbl("read"))
 	e.hostBytes = o.Counter("host_bytes_total", lbl("write"))
-	e.cleans = o.Counter("cleans_total", obs.Labels{"layer": "pdl"})
 	e.copies = o.Counter("copied_pages_total", obs.Labels{"layer": "pdl"})
-	e.idleCleans = o.Counter("idle_cleans_total", obs.Labels{"layer": "pdl"})
 	e.deltaWrites = o.Counter("delta_writes_total", obs.Labels{"layer": "pdl"})
 	e.promotion = o.Counter("promotions_total", obs.Labels{"layer": "pdl"})
-	// Same series the FTL registers, distinguished by the engine label,
-	// so both backends land in shared dashboards without colliding.
-	o.GaugeFunc("free_blocks", obs.Labels{"layer": "pdl", "engine": "pdl"}, func() float64 { return float64(e.freeCount) })
-	o.GaugeFunc("cleaner_lag_blocks", obs.Labels{"layer": "pdl", "engine": "pdl"}, func() float64 { return float64(e.CleanerLag()) })
-	waOver := func(flashBytes func() int64) func() float64 {
-		return func() float64 {
-			hb := e.hostBytes.Value()
-			if hb == 0 {
-				return 0
-			}
-			return float64(flashBytes()) / float64(hb)
-		}
-	}
-	o.GaugeFunc("write_amplification", obs.Labels{"layer": "pdl", "engine": "pdl"},
-		waOver(func() int64 { return e.dev.Stats().BytesProgrammed }))
-	for _, c := range obs.Causes {
-		c := c
-		o.GaugeFunc("write_amplification", obs.Labels{"layer": "pdl", "engine": "pdl", "cause": string(c)},
-			waOver(func() int64 { return e.dev.CauseBytesProgrammed(c) }))
-	}
+	e.bm = blockmgr.New(dev, clock, blockmgr.Config{
+		Layer:              "pdl",
+		ReserveBlocks:      cfg.ReserveBlocks,
+		IdleCleanThreshold: cfg.IdleCleanThreshold,
+		BackgroundErase:    cfg.BackgroundErase,
+		Obs:                o,
+		HostBytes:          e.hostBytes,
+		ErrNoSpace:         ErrNoSpace,
+		PickVictim:         e.pickVictim,
+		Relocate:           e.relocate,
+		Erased:             e.resetBlock,
+		Retired:            e.resetBlock,
+	})
 	return e, nil
 }
 
@@ -300,12 +283,6 @@ func (e *Engine) unitAddr(ppn int64) int64 { return ppn * int64(e.cfg.PageBytes)
 func (e *Engine) blockOf(ppn int64) int { return int(ppn / int64(e.ppb)) }
 
 func (e *Engine) blockOfAddr(addr int64) int { return int(addr / int64(e.dev.BlockBytes())) }
-
-// span opens an op span against the engine's clock and the flash
-// device's energy meter, so span energy includes the device work.
-func (e *Engine) span(op string) obs.SpanRef {
-	return e.obs.Span(e.clock, e.dev.Meter(), "pdl", op)
-}
 
 // Mapped reports whether the logical page currently holds data.
 func (e *Engine) Mapped(lpn int64) bool {
@@ -355,7 +332,7 @@ func (e *Engine) WritePageTagged(lpn int64, data []byte, tag engine.Tag) (err er
 	if len(data) != e.cfg.PageBytes {
 		return fmt.Errorf("%w: got %d want %d", ErrBadSize, len(data), e.cfg.PageBytes)
 	}
-	sp := e.span("write_page")
+	sp := e.bm.Span("write_page")
 	defer func() { sp.End(int64(len(data)), err) }()
 	e.hostWrites.Inc()
 	e.hostBytes.Add(int64(len(data)))
@@ -400,7 +377,7 @@ func diffRange(old, new []byte) (lo, hi int) {
 // the in-memory supersede below is crash-equivalent.
 func (e *Engine) writeBase(lpn int64, data []byte, tag engine.Tag) error {
 	if !e.cleaning {
-		if err := e.ensureSpace(); err != nil {
+		if err := e.bm.EnsureSpace(); err != nil {
 			return err
 		}
 	}
@@ -451,7 +428,7 @@ func (e *Engine) releaseChain(pm *pageMeta) {
 func (e *Engine) appendDelta(lpn int64, off int, payload []byte) error {
 	rec := deltaHdrBytes + len(payload)
 	if !e.cleaning {
-		if err := e.ensureSpace(); err != nil {
+		if err := e.bm.EnsureSpace(); err != nil {
 			return err
 		}
 	}
@@ -491,14 +468,13 @@ func (e *Engine) deltaSpace(rec int) (int64, error) {
 			e.deltaPtr++
 		} else {
 			if e.deltaActive != -1 {
-				e.blocks[e.deltaActive].active = false
+				e.bm.Close(e.deltaActive)
 			}
 			blk, ok := e.takeFreeBlock()
 			if !ok {
 				return 0, ErrNoSpace
 			}
 			e.blocks[blk].kind = blockDelta
-			e.blocks[blk].active = true
 			e.deltaActive = blk
 			e.deltaPtr = 0
 		}
@@ -519,14 +495,13 @@ func (e *Engine) deltaSpace(rec int) (int64, error) {
 func (e *Engine) allocBaseUnit() (int64, error) {
 	if e.baseActive == -1 || e.basePtr >= e.ppb {
 		if e.baseActive != -1 {
-			e.blocks[e.baseActive].active = false
+			e.bm.Close(e.baseActive)
 		}
 		blk, ok := e.takeFreeBlock()
 		if !ok {
 			return -1, ErrNoSpace
 		}
 		e.blocks[blk].kind = blockBase
-		e.blocks[blk].active = true
 		e.baseActive = blk
 		e.basePtr = 0
 	}
@@ -536,16 +511,16 @@ func (e *Engine) allocBaseUnit() (int64, error) {
 	return ppn, nil
 }
 
-// takeFreeBlock removes and returns the lowest-numbered free block —
+// takeFreeBlock opens and returns the lowest-numbered free block —
 // deterministic, and wear-unaware for now (the device's own telemetry
 // tracks the spread).
 func (e *Engine) takeFreeBlock() (int, bool) {
-	if e.freeCount == 0 {
+	if e.bm.Free() == 0 {
 		return -1, false
 	}
 	for b := 0; b < e.numBlocks; b++ {
-		if e.blocks[b].kind == blockFree && !e.blocks[b].retired {
-			e.freeCount--
+		if e.bm.State(b) == blockmgr.Free {
+			e.bm.Open(b)
 			return b, true
 		}
 	}
@@ -578,7 +553,7 @@ func (e *Engine) ReadPage(lpn int64, buf []byte) (err error) {
 	if len(buf) != e.cfg.PageBytes {
 		return fmt.Errorf("%w: got %d want %d", ErrBadSize, len(buf), e.cfg.PageBytes)
 	}
-	sp := e.span("read_page")
+	sp := e.bm.Span("read_page")
 	defer func() { sp.End(int64(len(buf)), err) }()
 	e.hostReads.Inc()
 	if e.pages[lpn].basePpn == -1 {
@@ -607,59 +582,17 @@ func (e *Engine) TrimPage(lpn int64) error {
 }
 
 // FreeBlocks reports the current free-block count.
-func (e *Engine) FreeBlocks() int { return e.freeCount }
+func (e *Engine) FreeBlocks() int { return e.bm.Free() }
 
 // CleanerLag reports how many blocks the cleaner is behind its
 // free-space target — the same definition the FTL exposes, so the
 // serving layer's admission control works unchanged.
-func (e *Engine) CleanerLag() int {
-	target := e.cfg.IdleCleanThreshold
-	if target <= 0 {
-		target = e.cfg.ReserveBlocks + 1
-	}
-	if lag := target - e.freeCount; lag > 0 {
-		return lag
-	}
-	return 0
-}
-
-// ensureSpace cleans until the free pool is above the reserve.
-func (e *Engine) ensureSpace() error {
-	for e.freeCount <= e.cfg.ReserveBlocks {
-		victim := e.pickVictim()
-		if victim == -1 {
-			if e.freeCount > 0 {
-				return nil
-			}
-			return ErrNoSpace
-		}
-		if err := e.cleanOne(victim); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (e *Engine) CleanerLag() int { return e.bm.CleanerLag() }
 
 // CleanIdle reclaims during idle time until IdleCleanThreshold blocks
 // are free (or nothing has dead space), taking cleaning off the write
 // path.
-func (e *Engine) CleanIdle() error {
-	if e.cfg.IdleCleanThreshold <= 0 {
-		return nil
-	}
-	defer e.obs.PushCause(obs.CauseIdleClean)()
-	for e.freeCount < e.cfg.IdleCleanThreshold {
-		victim := e.pickVictim()
-		if victim == -1 {
-			return nil
-		}
-		e.idleCleans.Inc()
-		if err := e.cleanOne(victim); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (e *Engine) CleanIdle() error { return e.bm.CleanIdle() }
 
 // pickVictim returns the closed block with the most dead bytes, or -1.
 // Dead bytes are what an erase reclaims beyond what relocation must
@@ -669,7 +602,7 @@ func (e *Engine) pickVictim() int {
 	var bestDead int64
 	for b := 0; b < e.numBlocks; b++ {
 		info := &e.blocks[b]
-		if info.kind == blockFree || info.active || info.retired || info.unitsUsed == 0 {
+		if e.bm.State(b) != blockmgr.Closed || info.unitsUsed == 0 {
 			continue
 		}
 		var used, live int64
@@ -688,23 +621,13 @@ func (e *Engine) pickVictim() int {
 	return best
 }
 
-// cleanOne relocates every page with state in the victim block and
-// erases it. Relocation is crash-safe: a page either promotes (a fresh
-// base atomically supersedes its history) or folds its whole chain into
-// one delta record whose content equals the chain's net effect — at any
-// power cut the scan reconstructs either the old image or the new one,
-// never a hybrid.
-func (e *Engine) cleanOne(victim int) (err error) {
-	// Same induced-span and cause conventions as the FTL cleaner: a
-	// clean under a request context is induced work charged to the
-	// clean stage; programs and the erase are charged to the cleaner
-	// cause unless an idle-clean scope is already active.
-	sp := e.obs.InducedSpan(e.clock, e.dev.Meter(), "pdl", "clean", obs.StageClean)
-	defer func() { sp.End(int64(e.ppb)*int64(e.cfg.PageBytes), err) }()
-	if e.obs.Cause() != obs.CauseIdleClean {
-		defer e.obs.PushCause(obs.CauseCleanerMigrate)()
-	}
-	e.cleans.Inc()
+// relocate moves every page with state in the victim block out of it,
+// leaving it safe for the block manager to erase. Relocation is
+// crash-safe: a page either promotes (a fresh base atomically supersedes
+// its history) or folds its whole chain into one delta record whose
+// content equals the chain's net effect — at any power cut the scan
+// reconstructs either the old image or the new one, never a hybrid.
+func (e *Engine) relocate(victim int) error {
 	e.cleaning = true
 	defer func() { e.cleaning = false }()
 
@@ -742,7 +665,7 @@ func (e *Engine) cleanOne(victim int) (err error) {
 		}
 		e.copies.Inc()
 	}
-	return e.eraseBlock(victim)
+	return nil
 }
 
 // chainHull returns the smallest [lo, hi) covering every chained
@@ -786,75 +709,32 @@ func (e *Engine) foldChain(lpn int64, lo, hi int) error {
 	return nil
 }
 
-// eraseBlock erases a relocated victim back into the free pool,
-// retiring it instead if it has worn out.
-func (e *Engine) eraseBlock(victim int) error {
-	var err error
-	if e.cfg.BackgroundErase {
-		err = e.dev.EraseAsync(victim)
-	} else {
-		_, err = e.dev.Erase(victim)
-	}
-	if err != nil {
-		if errors.Is(err, flash.ErrWornOut) {
-			e.retireBlock(victim)
-			return nil // the pool shrank, but the clean freed its pages
-		}
-		return err
-	}
-	e.resetBlock(victim)
-	return nil
-}
-
+// resetBlock forgets an erased or retired block's contents.
 func (e *Engine) resetBlock(b int) {
 	base := int64(b) * int64(e.ppb)
 	for i := 0; i < e.ppb; i++ {
 		e.rev[base+int64(i)] = -1
 	}
-	e.blocks[b] = blockInfo{kind: blockFree}
-	e.freeCount++
-}
-
-func (e *Engine) retireBlock(b int) {
-	base := int64(b) * int64(e.ppb)
-	for i := 0; i < e.ppb; i++ {
-		e.rev[base+int64(i)] = -1
-	}
-	e.blocks[b] = blockInfo{retired: true}
-	e.retired++
-	// Shrink the logical space: the device lost a block of capacity.
-	e.logicalPages -= int64(e.ppb)
-	if e.logicalPages < 0 {
-		e.logicalPages = 0
-	}
+	e.blocks[b] = blockInfo{}
 }
 
 // Stats summarises the engine counters.
 func (e *Engine) Stats() engine.Stats {
 	ds := e.dev.Stats()
-	hb := e.hostBytes.Value()
-	wa := 0.0
-	if hb > 0 {
-		wa = float64(ds.BytesProgrammed) / float64(hb)
-	}
-	margin := 0.0
-	if e.numBlocks > 0 {
-		margin = float64(e.freeCount) / float64(e.numBlocks)
-	}
 	return engine.Stats{
 		HostWrites:           e.hostWrites.Value(),
 		HostReads:            e.hostReads.Value(),
-		HostBytesWritten:     hb,
+		HostBytesWritten:     e.hostBytes.Value(),
 		FlashBytesProgrammed: ds.BytesProgrammed,
 		FlashReads:           ds.Reads,
 		Erases:               ds.Erases,
-		Cleans:               e.cleans.Value(),
+		Cleans:               e.bm.Cleans(),
 		CopiedPages:          e.copies.Value(),
-		IdleCleans:           e.idleCleans.Value(),
-		WriteAmplification:   wa,
-		FreeBlocks:           e.freeCount,
-		FreeBlockMargin:      margin,
-		RetiredBlocks:        e.retired,
+		IdleCleans:           e.bm.IdleCleans(),
+		WriteAmplification:   e.bm.WriteAmplification(),
+		FreeBlocks:           e.bm.Free(),
+		FreeBlockMargin:      e.bm.Margin(),
+		RetiredBlocks:        e.bm.Retired(),
 	}
 }
 
@@ -911,51 +791,19 @@ func (e *Engine) CheckInvariants() error {
 			tallies[db].deltaBytes += int64(d.rec)
 		}
 	}
-	free := 0
+	if err := e.bm.CheckInvariants(); err != nil {
+		return err
+	}
 	for b := 0; b < e.numBlocks; b++ {
+		if s := e.bm.State(b); s == blockmgr.Free || s == blockmgr.Retired {
+			continue
+		}
 		info := &e.blocks[b]
-		if info.retired {
-			continue
-		}
-		if info.kind == blockFree {
-			free++
-			if off, dirty := e.blockNonBlankAt(b); dirty {
-				return fmt.Errorf("pdl: free block %d not erased at offset %d", b, off)
-			}
-			continue
-		}
 		t := tallies[b]
 		if info.liveBases != t.bases || info.liveDeltas != t.deltas || info.liveDeltaBytes != t.deltaBytes {
 			return fmt.Errorf("pdl: block %d live counts bases=%d/%d deltas=%d/%d bytes=%d/%d",
 				b, info.liveBases, t.bases, info.liveDeltas, t.deltas, info.liveDeltaBytes, t.deltaBytes)
 		}
 	}
-	if free != e.freeCount {
-		return fmt.Errorf("pdl: free count %d, scan found %d", e.freeCount, free)
-	}
 	return nil
-}
-
-// blockNonBlankAt reports the first non-erased byte offset in the
-// block's data or spare area, using uncharged peeks.
-func (e *Engine) blockNonBlankAt(b int) (off int64, ok bool) {
-	dc := e.dev.Config()
-	start := e.dev.BlockAddr(b)
-	for i := int64(0); i < int64(dc.BlockBytes); i++ {
-		if e.dev.Peek(start+i) != 0xFF {
-			return i, true
-		}
-	}
-	if dc.SpareBytes > 0 {
-		firstUnit := start / int64(dc.SpareUnitBytes)
-		unitsPerBlock := int64(dc.BlockBytes / dc.SpareUnitBytes)
-		for u := int64(0); u < unitsPerBlock; u++ {
-			for j, sb := range e.dev.PeekSpare(firstUnit + u) {
-				if sb != 0xFF {
-					return int64(dc.BlockBytes) + u*int64(dc.SpareBytes) + int64(j), true
-				}
-			}
-		}
-	}
-	return 0, false
 }

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ssmobile/internal/engine/blockmgr"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
@@ -123,9 +124,6 @@ type blockInfo struct {
 	valid, dead int
 	allocSeq    int64    // when the block last became a log head
 	lastWrite   sim.Time // most recent program into the block
-	isFree      bool
-	isActive    bool
-	retired     bool
 }
 
 // Stats aggregates the layer's counters for the experiments.
@@ -157,9 +155,9 @@ type FTL struct {
 	reverse []int64 // ppn → lpn, -1 none
 	state   []pageState
 	blocks  []blockInfo
+	bm      *blockmgr.Manager // block lifecycle, erase-or-retire, reclaim loops
 
 	freeByBank []*bankPool
-	freeCount  int
 	nextBank   int
 
 	victims  *victimIndex     // victim selection index; nil for PolicyDirect
@@ -184,14 +182,11 @@ type FTL struct {
 	cleanBuf []byte
 	oobBuf   [OOBRecordBytes]byte
 
-	obs                     *obs.Observer
-	hostWrites, hostReads   *obs.Counter
-	hostBytes               *obs.Counter
-	cleans, copies          *obs.Counter
-	staticMoves, idleCleans *obs.Counter
-	retired                 int
-	firstWearOut            sim.Time
-	firstWearOutHostBytes   int64
+	hostWrites, hostReads *obs.Counter
+	hostBytes             *obs.Counter
+	copies, staticMoves   *obs.Counter
+	firstWearOut          sim.Time
+	firstWearOutHostBytes int64
 }
 
 // New builds a translation layer over dev. The device must be freshly
@@ -224,42 +219,24 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 	}
 	o := obs.Or(cfg.Obs)
 	lbl := func(op string) obs.Labels { return obs.Labels{"layer": "ftl", "op": op} }
-	f.obs = o
 	f.hostWrites = o.Counter("host_ops_total", lbl("write"))
 	f.hostReads = o.Counter("host_ops_total", lbl("read"))
 	f.hostBytes = o.Counter("host_bytes_total", lbl("write"))
-	f.cleans = o.Counter("cleans_total", obs.Labels{"layer": "ftl"})
 	f.copies = o.Counter("copied_pages_total", obs.Labels{"layer": "ftl"})
 	f.staticMoves = o.Counter("static_moves_total", obs.Labels{"layer": "ftl"})
-	f.idleCleans = o.Counter("idle_cleans_total", obs.Labels{"layer": "ftl"})
-	// Wear and cleaning gauges carry an "engine" label so alternative
-	// storage backends (engine/pdl) report the same series into shared
-	// dashboards without colliding.
-	o.GaugeFunc("free_blocks", obs.Labels{"layer": "ftl", "engine": "ftl"}, func() float64 { return float64(f.freeCount) })
-	// The serving layer reads this same lag signal to decide when to shed
-	// load, so backpressure and dashboards share one definition of
-	// "cleaner behind".
-	o.GaugeFunc("cleaner_lag_blocks", obs.Labels{"layer": "ftl", "engine": "ftl"}, func() float64 { return float64(f.CleanerLag()) })
-	// Write amplification: flash bytes programmed per host byte written,
-	// overall and decomposed by wear-attribution cause (the device charges
-	// every program to the observer's active obs.Cause). The per-cause
-	// series sum to the overall gauge by construction.
-	waOver := func(flashBytes func() int64) func() float64 {
-		return func() float64 {
-			hb := f.hostBytes.Value()
-			if hb == 0 {
-				return 0
-			}
-			return float64(flashBytes()) / float64(hb)
-		}
-	}
-	o.GaugeFunc("write_amplification", obs.Labels{"layer": "ftl", "engine": "ftl"},
-		waOver(func() int64 { return f.dev.Stats().BytesProgrammed }))
-	for _, c := range obs.Causes {
-		c := c
-		o.GaugeFunc("write_amplification", obs.Labels{"layer": "ftl", "engine": "ftl", "cause": string(c)},
-			waOver(func() int64 { return f.dev.CauseBytesProgrammed(c) }))
-	}
+	f.bm = blockmgr.New(dev, clock, blockmgr.Config{
+		Layer:              "ftl",
+		ReserveBlocks:      cfg.ReserveBlocks,
+		IdleCleanThreshold: cfg.IdleCleanThreshold,
+		BackgroundErase:    cfg.BackgroundErase,
+		Obs:                o,
+		HostBytes:          f.hostBytes,
+		ErrNoSpace:         ErrNoSpace,
+		PickVictim:         f.pickVictim,
+		Relocate:           f.relocate,
+		Erased:             f.erased,
+		Retired:            f.retired,
+	})
 	for i := range f.mapping {
 		f.mapping[i] = -1
 		f.reverse[i] = -1
@@ -271,10 +248,8 @@ func New(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 		f.freeByBank[bank] = p
 	}
 	for b := 0; b < nb; b++ {
-		f.blocks[b].isFree = true
 		f.freeByBank[dev.BankOf(b)].add(b)
 	}
-	f.freeCount = nb
 	if cfg.Policy != PolicyDirect {
 		f.victims = newVictimIndex(cfg.Policy, ppb)
 		if cfg.WearDeltaThreshold > 0 {
@@ -347,7 +322,7 @@ func (f *FTL) markDead(ppn int64) {
 // most-worn depending on the stream (wear-aware allocation) and rotating
 // across banks so consecutive log heads land on different banks.
 func (f *FTL) takeFreeBlock(preferWorn bool) (int, bool) {
-	if f.freeCount == 0 {
+	if f.bm.Free() == 0 {
 		return -1, false
 	}
 	// Rotate the starting bank so allocation stripes across banks.
@@ -365,20 +340,11 @@ func (f *FTL) takeFreeBlock(preferWorn bool) (int, bool) {
 			blk = pool.first()
 		}
 		pool.remove(blk)
-		f.freeCount--
-		f.blocks[blk].isFree = false
+		f.bm.Open(blk)
 		f.nextBank = (bank + 1) % banks
 		return blk, true
 	}
 	return -1, false
-}
-
-func (f *FTL) releaseFreeBlock(blk int) {
-	f.blocks[blk].isFree = true
-	f.blocks[blk].valid = 0
-	f.blocks[blk].dead = 0
-	f.freeByBank[f.dev.BankOf(blk)].add(blk)
-	f.freeCount++
 }
 
 // allocPage returns the next free physical page on the requested stream,
@@ -391,7 +357,7 @@ func (f *FTL) allocPage(hot bool) (int64, error) {
 	}
 	if *active == -1 || *ptr >= f.pagesPerBlock {
 		if *active != -1 {
-			f.blocks[*active].isActive = false
+			f.bm.Close(*active)
 			f.onBlockClosed(*active)
 		}
 		blk, ok := f.takeFreeBlock(!hot && f.cfg.HotCold)
@@ -399,7 +365,6 @@ func (f *FTL) allocPage(hot bool) (int64, error) {
 			return -1, ErrNoSpace
 		}
 		f.allocSeq++
-		f.blocks[blk].isActive = true
 		f.blocks[blk].allocSeq = f.allocSeq
 		*active = blk
 		*ptr = 0
@@ -464,12 +429,6 @@ func (f *FTL) ForEachMapped(fn func(lpn int64, tag Tag)) {
 	}
 }
 
-// span opens an op span against the layer's clock and the flash device's
-// energy meter, so span energy includes the device work underneath.
-func (f *FTL) span(op string) obs.SpanRef {
-	return f.obs.Span(f.clock, f.dev.Meter(), "ftl", op)
-}
-
 // WritePage stores one page of data at the logical page lpn. Any tag
 // previously set with WritePageTagged is preserved.
 func (f *FTL) WritePage(lpn int64, data []byte) (err error) {
@@ -479,7 +438,7 @@ func (f *FTL) WritePage(lpn int64, data []byte) (err error) {
 	if len(data) != f.cfg.PageBytes {
 		return fmt.Errorf("%w: got %d want %d", ErrBadSize, len(data), f.cfg.PageBytes)
 	}
-	sp := f.span("write_page")
+	sp := f.bm.Span("write_page")
 	defer func() { sp.End(int64(len(data)), err) }()
 	f.hostWrites.Inc()
 	f.hostBytes.Add(int64(len(data)))
@@ -511,7 +470,7 @@ func (f *FTL) ReadPage(lpn int64, buf []byte) (err error) {
 	if len(buf) != f.cfg.PageBytes {
 		return fmt.Errorf("%w: got %d want %d", ErrBadSize, len(buf), f.cfg.PageBytes)
 	}
-	sp := f.span("read_page")
+	sp := f.bm.Span("read_page")
 	defer func() { sp.End(int64(len(buf)), err) }()
 	f.hostReads.Inc()
 	ppn := f.mapping[lpn]
@@ -566,22 +525,11 @@ func (f *FTL) Mapped(lpn int64) bool {
 	return f.mapping[lpn] != -1
 }
 
-// ensureSpace cleans until the free pool is above the reserve. A device
-// that is exactly full with no dead pages has nothing to clean but can
-// still absorb writes from its remaining free blocks, so the absence of a
-// victim is only fatal once the free pool is empty.
+// ensureSpace cleans until the free pool is above the reserve, then
+// gives static wear leveling its turn.
 func (f *FTL) ensureSpace() error {
-	for f.freeCount <= f.cfg.ReserveBlocks {
-		victim := f.pickVictim()
-		if victim == -1 {
-			if f.freeCount > 0 {
-				return nil
-			}
-			return ErrNoSpace
-		}
-		if err := f.cleanOne(victim); err != nil {
-			return err
-		}
+	if err := f.bm.EnsureSpace(); err != nil {
+		return err
 	}
 	return f.levelWear()
 }
@@ -609,34 +557,18 @@ func (f *FTL) levelWear() error {
 		return nil
 	}
 	// Need headroom to relocate a fully live block.
-	if f.freeCount <= 1 {
+	if f.bm.Free() <= 1 {
 		return nil
 	}
 	f.staticMoves.Inc()
-	return f.cleanOne(coldest)
+	return f.bm.Clean(coldest)
 }
 
 // CleanIdle runs cleaning during idle time until IdleCleanThreshold
 // blocks are free (or nothing is cleanable), so foreground writes rarely
 // wait for the cleaner. The storage manager calls it from its daemon
 // tick.
-func (f *FTL) CleanIdle() error {
-	if f.cfg.IdleCleanThreshold <= 0 {
-		return nil
-	}
-	defer f.obs.PushCause(obs.CauseIdleClean)()
-	for f.freeCount < f.cfg.IdleCleanThreshold {
-		victim := f.pickVictim()
-		if victim == -1 {
-			return nil
-		}
-		f.idleCleans.Inc()
-		if err := f.cleanOne(victim); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (f *FTL) CleanIdle() error { return f.bm.CleanIdle() }
 
 // wearScan computes the device-wide maximum erase count and the coldest
 // closed block by linear scan — the reference the wear index is checked
@@ -644,12 +576,11 @@ func (f *FTL) CleanIdle() error {
 func (f *FTL) wearScan() (maxCount int64, coldest int, coldCount int64) {
 	coldest = -1
 	for b := 0; b < f.numBlocks; b++ {
-		info := &f.blocks[b]
 		c := f.dev.EraseCount(b)
 		if c > maxCount {
 			maxCount = c
 		}
-		if info.isFree || info.isActive || info.retired {
+		if f.bm.State(b) != blockmgr.Closed {
 			continue
 		}
 		if coldest == -1 || c < coldCount {
@@ -660,27 +591,12 @@ func (f *FTL) wearScan() (maxCount int64, coldest int, coldCount int64) {
 	return maxCount, coldest, coldCount
 }
 
-// cleanOne relocates the victim's live pages to the cold stream and
-// erases it.
-func (f *FTL) cleanOne(victim int) (err error) {
+// relocate moves the victim's live pages to the cold stream, leaving it
+// fully dead for the block manager to erase.
+func (f *FTL) relocate(victim int) error {
 	if f.onClean != nil {
 		f.onClean(victim)
 	}
-	// A clean running under a request context is induced work: the
-	// request did not ask for it, its timing just got charged it. The
-	// span carries a FollowFrom link to the request's root, and the
-	// clean stage is sticky — relocation reads/programs and the erase
-	// all count as cleaning stall. Idle cleans run outside any context
-	// and stay anonymous background spans.
-	sp := f.obs.InducedSpan(f.clock, f.dev.Meter(), "ftl", "clean", obs.StageClean)
-	defer func() { sp.End(int64(f.pagesPerBlock)*int64(f.cfg.PageBytes), err) }()
-	// Charge the relocation programs and the victim erase to the cleaner —
-	// unless an idle-clean scope is already active: idle cleaning is sticky
-	// over the shared clean path, so the idle/foreground split survives.
-	if f.obs.Cause() != obs.CauseIdleClean {
-		defer f.obs.PushCause(obs.CauseCleanerMigrate)()
-	}
-	f.cleans.Inc()
 	base := int64(victim) * int64(f.pagesPerBlock)
 	if cap(f.cleanBuf) < f.cfg.PageBytes {
 		f.cleanBuf = make([]byte, f.cfg.PageBytes)
@@ -706,47 +622,32 @@ func (f *FTL) cleanOne(victim int) (err error) {
 		}
 		f.copies.Inc()
 	}
-	return f.eraseBlock(victim)
+	return nil
 }
 
-// eraseBlock erases a fully dead block and returns it to the free pool,
-// retiring it instead if it has worn out.
-func (f *FTL) eraseBlock(victim int) error {
-	var err error
-	if f.cfg.BackgroundErase {
-		err = f.dev.EraseAsync(victim)
-	} else {
-		_, err = f.dev.Erase(victim)
-	}
-	if err != nil {
-		if errors.Is(err, flash.ErrWornOut) {
-			f.retireBlock(victim)
-			return nil // the pool shrank, but the clean freed its pages
-		}
-		return err
-	}
-	f.noteErase(victim)
-	// Reset page states for the erased block.
-	base := int64(victim) * int64(f.pagesPerBlock)
+// erased returns a block the cleaner erased to the free pool.
+func (f *FTL) erased(blk int) {
+	f.noteErase(blk)
+	f.resetPages(blk)
+	f.freeByBank[f.dev.BankOf(blk)].add(blk)
+}
+
+// resetPages marks every page of an erased block free.
+func (f *FTL) resetPages(blk int) {
+	base := int64(blk) * int64(f.pagesPerBlock)
 	for i := 0; i < f.pagesPerBlock; i++ {
 		f.state[base+int64(i)] = pageFree
 		f.reverse[base+int64(i)] = -1
 	}
-	f.releaseFreeBlock(victim)
-	return nil
+	f.blocks[blk].valid = 0
+	f.blocks[blk].dead = 0
 }
 
-func (f *FTL) retireBlock(blk int) {
-	f.blocks[blk].retired = true
-	f.retired++
+// retired records the first wear-out for the lifetime experiment.
+func (f *FTL) retired(int) {
 	if f.firstWearOut == 0 {
 		f.firstWearOut = f.clock.Now()
 		f.firstWearOutHostBytes = f.hostBytes.Value()
-	}
-	// Shrink the logical space: the device lost a block of capacity.
-	f.logicalPages -= int64(f.pagesPerBlock)
-	if f.logicalPages < 0 {
-		f.logicalPages = 0
 	}
 }
 
@@ -769,7 +670,7 @@ func (f *FTL) pickVictimScan() int {
 	now := f.clock.Now()
 	for b := 0; b < f.numBlocks; b++ {
 		info := &f.blocks[b]
-		if info.isFree || info.isActive || info.retired || info.dead == 0 {
+		if f.bm.State(b) != blockmgr.Closed || info.dead == 0 {
 			continue
 		}
 		var score float64
@@ -801,15 +702,14 @@ func (f *FTL) pickVictimScan() int {
 func (f *FTL) writeDirect(lpn int64, data []byte) error {
 	ppn := lpn
 	blk := f.blockOfPage(ppn)
-	if f.blocks[blk].retired {
+	if f.bm.State(blk) == blockmgr.Retired {
 		return fmt.Errorf("%w: block %d retired", ErrDeviceWorn, blk)
 	}
 	if f.state[ppn] == pageFree {
-		if f.blocks[blk].isFree {
-			f.blocks[blk].isFree = false
-			// Remove from the free pool bookkeeping lazily; the direct
-			// policy never allocates from it.
-			f.freeCount--
+		if f.bm.State(blk) == blockmgr.Free {
+			// The bank pools keep the block; the direct policy never
+			// allocates from them.
+			f.bm.Open(blk)
 		}
 		return f.programPage(ppn, lpn, data)
 	}
@@ -829,27 +729,15 @@ func (f *FTL) writeDirect(lpn int64, data []byte) error {
 		copy(cp, buf)
 		live[p] = cp
 	}
-	var err error
-	if f.cfg.BackgroundErase {
-		err = f.dev.EraseAsync(blk)
-	} else {
-		_, err = f.dev.Erase(blk)
-	}
+	retired, err := f.bm.Erase(blk)
 	if err != nil {
-		if errors.Is(err, flash.ErrWornOut) {
-			f.retireBlock(blk)
-			return fmt.Errorf("%w: block %d", ErrDeviceWorn, blk)
-		}
 		return err
 	}
-	// Reset block state and reprogram survivors plus the new page.
-	for i := 0; i < f.pagesPerBlock; i++ {
-		p := base + int64(i)
-		f.state[p] = pageFree
-		f.reverse[p] = -1
+	if retired {
+		return fmt.Errorf("%w: block %d", ErrDeviceWorn, blk)
 	}
-	f.blocks[blk].valid = 0
-	f.blocks[blk].dead = 0
+	// Reset block state and reprogram survivors plus the new page.
+	f.resetPages(blk)
 	for p, d := range live {
 		if err := f.programPage(p, p, d); err != nil {
 			return err
@@ -860,41 +748,27 @@ func (f *FTL) writeDirect(lpn int64, data []byte) error {
 }
 
 // FreeBlocks reports the current free-block count.
-func (f *FTL) FreeBlocks() int { return f.freeCount }
+func (f *FTL) FreeBlocks() int { return f.bm.Free() }
+
+// FreeBlockMargin reports the free fraction of the block pool.
+func (f *FTL) FreeBlockMargin() float64 { return f.bm.Margin() }
 
 // CleanerLag reports how many blocks the cleaner is behind its
-// free-space target: IdleCleanThreshold when idle cleaning is enabled,
-// otherwise one block above the foreground reserve. Zero means cleaning
-// is keeping pace; positive values mean new writes are eating free space
-// faster than it is being reclaimed.
-func (f *FTL) CleanerLag() int {
-	target := f.cfg.IdleCleanThreshold
-	if target <= 0 {
-		target = f.cfg.ReserveBlocks + 1
-	}
-	if lag := target - f.freeCount; lag > 0 {
-		return lag
-	}
-	return 0
-}
+// free-space target (see blockmgr.Manager.CleanerLag).
+func (f *FTL) CleanerLag() int { return f.bm.CleanerLag() }
 
 // Stats summarises the layer counters.
 func (f *FTL) Stats() Stats {
-	hb := f.hostBytes.Value()
-	wa := 0.0
-	if hb > 0 {
-		wa = float64(f.dev.Stats().BytesProgrammed) / float64(hb)
-	}
 	return Stats{
 		HostWrites:            f.hostWrites.Value(),
 		HostReads:             f.hostReads.Value(),
-		HostBytesWritten:      hb,
-		Cleans:                f.cleans.Value(),
+		HostBytesWritten:      f.hostBytes.Value(),
+		Cleans:                f.bm.Cleans(),
 		CopiedPages:           f.copies.Value(),
 		StaticMoves:           f.staticMoves.Value(),
-		IdleCleans:            f.idleCleans.Value(),
-		WriteAmplification:    wa,
-		RetiredBlocks:         f.retired,
+		IdleCleans:            f.bm.IdleCleans(),
+		WriteAmplification:    f.bm.WriteAmplification(),
+		RetiredBlocks:         f.bm.Retired(),
 		FirstWearOut:          f.firstWearOut,
 		FirstWearOutHostBytes: f.firstWearOutHostBytes,
 	}
@@ -933,16 +807,8 @@ func (f *FTL) CheckInvariants() error {
 				b, f.blocks[b].valid, valid, f.blocks[b].dead, dead)
 		}
 	}
-	// Every free-pool block must be genuinely erased: allocation programs
-	// into free blocks without erasing first, so torn residue here (a
-	// crash-recovery leak) surfaces later as a phantom overwrite error.
-	for b := 0; b < f.numBlocks; b++ {
-		if !f.blocks[b].isFree {
-			continue
-		}
-		if off, ok := f.blockNonBlankAt(b); ok {
-			return fmt.Errorf("free block %d not erased at offset %d", b, off)
-		}
+	if err := f.bm.CheckInvariants(); err != nil {
+		return err
 	}
 	if f.victims != nil {
 		if got, want := f.pickVictimIndexed(), f.pickVictimScan(); got != want {

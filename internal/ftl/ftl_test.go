@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"ssmobile/internal/device"
+	"ssmobile/internal/engine/blockmgr"
 	"ssmobile/internal/flash"
 	"ssmobile/internal/sim"
 )
@@ -430,7 +431,7 @@ func TestStaticWearLeveling(t *testing.T) {
 		counts := dev.EraseCounts()
 		var min, max int64 = 1 << 62, 0
 		for b := 0; b < dev.NumBlocks(); b++ {
-			if f.blocks[b].retired {
+			if f.bm.State(b) == blockmgr.Retired {
 				continue
 			}
 			c := counts[b]

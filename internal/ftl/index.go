@@ -1,5 +1,7 @@
 package ftl
 
+import "ssmobile/internal/engine/blockmgr"
+
 // This file holds the incremental indexes that replace the translation
 // layer's per-allocation linear scans:
 //
@@ -152,8 +154,7 @@ func newVictimIndex(policy Policy, pagesPerBlock int) *victimIndex {
 
 // eligible reports whether the block can be cleaned right now.
 func (f *FTL) victimEligible(b int) bool {
-	info := &f.blocks[b]
-	return !info.isFree && !info.isActive && !info.retired && info.dead > 0
+	return f.bm.State(b) == blockmgr.Closed && f.blocks[b].dead > 0
 }
 
 // noteEligible records the block's current keys; callers invoke it
@@ -271,11 +272,10 @@ func (f *FTL) onPageDied(b int) {
 	if f.victims == nil {
 		return
 	}
-	info := &f.blocks[b]
-	if info.isFree || info.isActive || info.retired {
+	if f.bm.State(b) != blockmgr.Closed {
 		return // an active head's deaths are indexed when it closes
 	}
-	if f.victims.policy == PolicyFIFO && info.dead != 1 {
+	if f.victims.policy == PolicyFIFO && f.blocks[b].dead != 1 {
 		return // already present with the same frozen key
 	}
 	f.noteEligible(b)
@@ -289,8 +289,7 @@ func (f *FTL) wearColdest() (int, int64) {
 		return -1, 0
 	}
 	e, ok := f.wear.peekValid(func(e lazyEntry) bool {
-		info := &f.blocks[e.block]
-		return !info.isFree && !info.isActive && !info.retired && f.dev.EraseCount(e.block) == e.k1
+		return f.bm.State(e.block) == blockmgr.Closed && f.dev.EraseCount(e.block) == e.k1
 	})
 	if !ok {
 		return -1, 0

@@ -6,8 +6,8 @@ import (
 	"hash/crc32"
 
 	"ssmobile/internal/engine"
+	"ssmobile/internal/engine/blockmgr"
 	"ssmobile/internal/flash"
-	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
 )
 
@@ -65,47 +65,13 @@ func decodeOOB(rec []byte) (seq uint64, lpn int64, tag Tag, ok bool) {
 }
 
 // MountStats reports what a Mount scan found beyond the live mapping —
-// the wreckage a power cut left behind.
-type MountStats struct {
-	// CorruptRecords counts spare areas holding bytes that are neither
-	// blank nor a self-consistent record: torn OOB programs and
-	// trembling-erase residue.
-	CorruptRecords int64
-	// ReErasedBlocks counts record-free blocks that failed the blank
-	// check and were erased back into the free pool.
-	ReErasedBlocks int64
-	// RetiredBlocks counts blocks retired as worn out during the scan.
-	RetiredBlocks int64
-}
+// the wreckage a power cut left behind. It aliases the storage-engine
+// type, so *FTL satisfies the engine interface without a translation.
+type MountStats = engine.MountStats
 
 // MountStats returns what the Mount scan found; zero for an FTL built
 // with New.
 func (f *FTL) MountStats() MountStats { return f.mountStats }
-
-// blockNonBlankAt reports the first non-erased byte offset in the
-// block's data or spare area (spare offsets follow data offsets), using
-// uncharged peeks. A fully erased block returns ok == false.
-func (f *FTL) blockNonBlankAt(b int) (off int64, ok bool) {
-	dc := f.dev.Config()
-	start := f.dev.BlockAddr(b)
-	for i := int64(0); i < int64(dc.BlockBytes); i++ {
-		if f.dev.Peek(start+i) != 0xFF {
-			return i, true
-		}
-	}
-	if dc.SpareBytes > 0 {
-		firstUnit := start / int64(dc.SpareUnitBytes)
-		unitsPerBlock := int64(dc.BlockBytes / dc.SpareUnitBytes)
-		for u := int64(0); u < unitsPerBlock; u++ {
-			for j, sb := range f.dev.PeekSpare(firstUnit + u) {
-				if sb != 0xFF {
-					return int64(dc.BlockBytes) + u*int64(dc.SpareBytes) + int64(j), true
-				}
-			}
-		}
-	}
-	return 0, false
-}
 
 // checkOOBSupport verifies the device can carry per-page records.
 func (f *FTL) checkOOBSupport() error {
@@ -130,8 +96,9 @@ func (f *FTL) checkOOBSupport() error {
 //
 // Pages whose records are superseded by a newer sequence number for the
 // same logical page are treated as dead, as are unprogrammed pages inside
-// partially written blocks (interrupted log heads). Blocks the device
-// reports worn out are retired again.
+// partially written blocks (interrupted log heads). The block manager's
+// mount pass retires worn blocks that hold no record and re-erases dirty
+// empty ones.
 func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 	if !cfg.PersistMapping {
 		return nil, fmt.Errorf("ftl: Mount requires PersistMapping")
@@ -140,17 +107,13 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Any destructive work the scan performs (re-erasing blocks left dirty
-	// by a torn program or interrupted erase) is recovery, not cleaning.
-	defer f.obs.PushCause(obs.CauseMountRecovery)()
-
 	type claim struct {
 		ppn int64
 		seq uint64
 		tag Tag
 	}
 	best := make(map[int64]claim)
-	used := make([]bool, f.totalPages) // pages with any record
+	hasRecords := make([]bool, f.numBlocks)
 	rec := make([]byte, OOBRecordBytes)
 	var maxSeq uint64
 
@@ -170,7 +133,7 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 			}
 			continue
 		}
-		used[ppn] = true
+		hasRecords[f.blockOfPage(ppn)] = true
 		if seq > maxSeq {
 			maxSeq = seq
 		}
@@ -191,43 +154,18 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 		f.tags[lpn] = c.tag
 		f.pageSeq[lpn] = c.seq
 	}
+	// A block leaves its bank pool the moment the pass takes it, so the
+	// pools' swap-remove order, which wear-aware allocation breaks ties
+	// on, is the one the pass's block order has always produced.
+	removeFromPool := func(b int) { f.freeByBank[dev.BankOf(b)].remove(b) }
+	if err := f.bm.Mount(&f.mountStats, hasRecords, removeFromPool); err != nil {
+		return nil, err
+	}
 	for b := 0; b < f.numBlocks; b++ {
-		base := int64(b) * int64(f.pagesPerBlock)
-		blockUsed := false
-		for i := 0; i < f.pagesPerBlock; i++ {
-			if used[base+int64(i)] {
-				blockUsed = true
-				break
-			}
-		}
-		if dev.WornOut(b) {
-			f.removeFromFreePool(b)
-			f.retireBlockOnMount(b)
-			f.mountStats.RetiredBlocks++
+		if f.bm.State(b) != blockmgr.Closed {
 			continue
 		}
-		if !blockUsed {
-			if _, dirtyRes := f.blockNonBlankAt(b); dirtyRes {
-				// No surviving record, yet the block is not erased: a
-				// torn data program whose OOB record never landed, or an
-				// interrupted erase that left the array trembling. The
-				// block sits in the free pool, and allocation programs
-				// free blocks without erasing first — so it must be
-				// erased again now, as a charged device operation.
-				if _, err := dev.Erase(b); err != nil {
-					return nil, err
-				}
-				f.mountStats.ReErasedBlocks++
-				if dev.WornOut(b) {
-					// That erase exhausted its endurance budget.
-					f.removeFromFreePool(b)
-					f.retireBlockOnMount(b)
-					f.mountStats.RetiredBlocks++
-				}
-			}
-			continue // stays in the free pool
-		}
-		f.removeFromFreePool(b)
+		base := int64(b) * int64(f.pagesPerBlock)
 		for i := 0; i < f.pagesPerBlock; i++ {
 			ppn := base + int64(i)
 			if lpn, win := winners[ppn]; win {
@@ -248,20 +186,6 @@ func Mount(dev *flash.Device, clock *sim.Clock, cfg Config) (*FTL, error) {
 	return f, nil
 }
 
-// removeFromFreePool takes a specific block out of its bank's free pool
-// (the same swap-remove the pre-index free list performed, so the pool's
-// internal order — which wear-aware allocation ties break on — evolves
-// identically).
-func (f *FTL) removeFromFreePool(blk int) {
-	pool := f.freeByBank[f.dev.BankOf(blk)]
-	if !pool.contains(blk) {
-		return
-	}
-	pool.remove(blk)
-	f.freeCount--
-	f.blocks[blk].isFree = false
-}
-
 // rebuildIndexes recomputes the victim and wear indexes and the running
 // max erase count from the block states Mount reconstructed. The device
 // carries erase counts from its previous life, so the maximum must be
@@ -280,25 +204,13 @@ func (f *FTL) rebuildIndexes() {
 		f.wear = &lazyHeap{}
 	}
 	for b := 0; b < f.numBlocks; b++ {
-		info := &f.blocks[b]
-		if info.isFree || info.isActive || info.retired {
+		if f.bm.State(b) != blockmgr.Closed {
 			continue
 		}
 		if f.wear != nil {
 			f.wear.push(lazyEntry{k1: f.dev.EraseCount(b), block: b})
 		}
 		f.noteEligible(b)
-	}
-}
-
-// retireBlockOnMount marks a worn block retired without touching the
-// wear-out statistics (the wear happened in a previous life).
-func (f *FTL) retireBlockOnMount(blk int) {
-	f.blocks[blk].retired = true
-	f.retired++
-	f.logicalPages -= int64(f.pagesPerBlock)
-	if f.logicalPages < 0 {
-		f.logicalPages = 0
 	}
 }
 

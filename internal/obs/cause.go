@@ -17,8 +17,8 @@ package obs
 // wins) and restores it on exit, with one exception mirroring the
 // StageClean stickiness in TraceContext: cleaner work nested inside an
 // idle-clean scope stays idle-clean, so the idle/foreground split of
-// cleaning traffic survives the shared cleanOne path (the FTL encodes
-// that exception at its call site, not here).
+// cleaning traffic survives the shared clean path (engine/blockmgr
+// encodes that exception at its call site, not here).
 
 // Cause classifies the origin of a destructive flash operation.
 type Cause string
