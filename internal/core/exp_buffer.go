@@ -27,15 +27,10 @@ func replayThroughBufferBS(o *obs.Observer, tr *trace.Trace, capacityBytes int64
 		WriteBackDelay: delay,
 		Policy:         policy,
 		Obs:            o,
-	}, clock, wbuf.SinkFunc(func(wbuf.Key, []byte) error { return nil }))
+	}, clock, wbuf.SinkFunc(func(wbuf.Key, int, int) error { return nil }))
 	if err != nil {
 		return wbuf.Stats{}, err
 	}
-	// Only write sizes matter to the buffer, never contents, so every
-	// write replays the same zeroed block. Safe to share: Write copies
-	// into the buffer's own entry on both the new-entry and overwrite
-	// paths, and the sink discards what it is handed.
-	zeros := make([]byte, bs)
 	for _, op := range tr.Ops {
 		clock.AdvanceTo(sim.Time(op.Time))
 		if err := b.Tick(); err != nil {
@@ -45,12 +40,12 @@ func replayThroughBufferBS(o *obs.Observer, tr *trace.Trace, capacityBytes int64
 		case trace.Write:
 			off, remaining := op.Offset, op.Size
 			for remaining > 0 {
-				blk := off / bs
-				n := int(bs - off%bs)
+				blk, blkOff := off/bs, int(off%bs)
+				n := int(bs) - blkOff
 				if n > remaining {
 					n = remaining
 				}
-				if err := b.Write(wbuf.Key{Object: uint64(op.File), Block: blk}, zeros[:n]); err != nil {
+				if err := b.Write(wbuf.Key{Object: uint64(op.File), Block: blk}, blkOff, n); err != nil {
 					return wbuf.Stats{}, err
 				}
 				off += int64(n)

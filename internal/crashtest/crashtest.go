@@ -478,8 +478,8 @@ func runPoint(cfg Config, script Script, idx int64, fate flash.Outcome, res *Res
 }
 
 // usabilityPass proves the recovered stack still works: overwrite
-// surviving blocks, write a fresh one, sync, read everything back, and
-// re-check invariants.
+// surviving blocks, write a fresh one, check invariants, sync, read
+// everything back, and re-check invariants.
 func usabilityPass(cfg Config, m *storman.Manager, eng engine.Engine) error {
 	keys := m.Keys()
 	if len(keys) > 4 {
@@ -492,6 +492,12 @@ func usabilityPass(cfg Config, m *storman.Manager, eng engine.Engine) error {
 		if err := m.WriteBlock(key, data); err != nil {
 			return fmt.Errorf("write %+v: %w", key, err)
 		}
+	}
+	// Checked while the writes are still buffered: overwritten survivors
+	// came back through copy-on-write, and each DRAM-resident block must
+	// be in the write buffer at its exact size.
+	if err := m.CheckInvariants(); err != nil {
+		return fmt.Errorf("buffered invariants: %w", err)
 	}
 	if err := m.Sync(); err != nil {
 		return fmt.Errorf("sync: %w", err)

@@ -43,6 +43,36 @@ func TestMergeGaugeFuncLiveness(t *testing.T) {
 	}
 }
 
+// TestMergeLabeledGaugeFuncLiveness is TestMergeGaugeFuncLiveness through
+// MergeLabeled, the path the fleet merge takes: the node-labelled gauge
+// keeps reading the source's function, and a later plain gauge under the
+// same labels clears it.
+func TestMergeLabeledGaugeFuncLiveness(t *testing.T) {
+	dst := NewRegistry()
+	node := Labels{"node": "n1"}
+	want := Labels{"node": "n1", "layer": "ftl"}
+
+	live := 7.0
+	src := NewRegistry()
+	src.GaugeFunc("free_blocks", Labels{"layer": "ftl"}, func() float64 { return live })
+	dst.MergeLabeled(src, node)
+	live = 3
+	if got := dst.Gauge("free_blocks", want).Collect().Value; got != 3 {
+		t.Fatalf("labelled merged gauge = %v, want 3 (read-through must stay live)", got)
+	}
+
+	src2 := NewRegistry()
+	src2.Gauge("free_blocks", Labels{"layer": "ftl"}).Set(42)
+	dst.MergeLabeled(src2, node)
+	live = 99
+	if got := dst.Gauge("free_blocks", want).Collect().Value; got != 42 {
+		t.Fatalf("labelled merged plain gauge = %v, want 42 (stale read-through must be cleared)", got)
+	}
+	if got := src.Gauge("free_blocks", Labels{"layer": "ftl"}).Collect().Value; got != 99 {
+		t.Fatalf("source gauge = %v: the merge must not rewrite the source's labels", got)
+	}
+}
+
 // TestMergeCountersAndHistograms pins the additive Merge semantics the
 // parallel engine relies on.
 func TestMergeCountersAndHistograms(t *testing.T) {

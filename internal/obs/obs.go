@@ -361,38 +361,7 @@ func (r *Registry) Histogram(name string, labels Labels) *Histogram {
 // shadows the newer value forever and the merged gauge appears frozen.
 // Snapshot/Diff are point-in-time by design; liveness is the registry's
 // concern, not the snapshot's.
-func (r *Registry) Merge(src *Registry) {
-	if src == nil {
-		return
-	}
-	for _, c := range src.Collectors() {
-		name, labels := c.Name(), c.Labels()
-		switch sc := c.(type) {
-		case *Counter:
-			r.Counter(name, labels).Add(sc.Value())
-		case *Gauge:
-			g := r.Gauge(name, labels)
-			sc.mu.Lock()
-			fn := sc.fn
-			sc.mu.Unlock()
-			if fn != nil {
-				g.setFunc(fn)
-			} else {
-				// Most recent instance wins: drop any read-through from an
-				// earlier merge so the plain value is actually visible.
-				g.setFunc(nil)
-				g.Set(sc.Value())
-			}
-		case *Histogram:
-			dst := r.Histogram(name, labels)
-			sc.mu.Lock()
-			dst.mu.Lock()
-			dst.h.Merge(sc.h)
-			dst.mu.Unlock()
-			sc.mu.Unlock()
-		}
-	}
-}
+func (r *Registry) Merge(src *Registry) { r.MergeLabeled(src, nil) }
 
 // MergeLabeled is Merge with extra labels stamped onto every collector
 // as it lands in r: merging node registries with {"node": name} keeps
@@ -404,14 +373,9 @@ func (r *Registry) MergeLabeled(src *Registry, extra Labels) {
 	if src == nil {
 		return
 	}
-	if len(extra) == 0 {
-		r.Merge(src)
-		return
-	}
 	for _, c := range src.Collectors() {
-		name := c.Name()
-		labels := c.Labels()
-		if labels == nil {
+		name, labels := c.Name(), c.Labels()
+		if len(extra) > 0 && labels == nil {
 			labels = make(Labels, len(extra))
 		}
 		for k, v := range extra {
@@ -430,6 +394,8 @@ func (r *Registry) MergeLabeled(src *Registry, extra Labels) {
 			if fn != nil {
 				g.setFunc(fn)
 			} else {
+				// Most recent instance wins: drop any read-through from an
+				// earlier merge so the plain value is actually visible.
 				g.setFunc(nil)
 				g.Set(sc.Value())
 			}
@@ -542,18 +508,7 @@ func (o *Observer) Histogram(name string, labels Labels) *Histogram {
 // Merge folds src's registered metrics and retained spans into o (see
 // Registry.Merge and Tracer.Merge). A nil receiver or source is a no-op,
 // so callers can merge unconditionally.
-func (o *Observer) Merge(src *Observer) {
-	if o == nil || src == nil {
-		return
-	}
-	if o.Registry != nil {
-		o.Registry.Merge(src.Registry)
-	}
-	if o.Tracer != nil {
-		o.Tracer.Merge(src.Tracer)
-	}
-	o.mergeEvents(src)
-}
+func (o *Observer) Merge(src *Observer) { o.MergeLabeled(src, nil) }
 
 // mergeEvents folds src's event journal into o's: adopt the journal when
 // o has none, append otherwise. A shared journal (the same log attached

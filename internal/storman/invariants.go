@@ -3,6 +3,8 @@ package storman
 import (
 	"fmt"
 	"sort"
+
+	"ssmobile/internal/wbuf"
 )
 
 // Keys lists every block in the placement table in (object, block)
@@ -26,7 +28,8 @@ func (m *Manager) Keys() []Key {
 // mirror matches the table, DRAM pages and flash logical pages are each
 // owned at most once and never double-listed as free, every
 // flash-resident block is actually mapped with the tag its key encodes,
-// and the dirty lists hold exactly the dirty DRAM-resident blocks.
+// and the write buffer holds exactly the DRAM-resident blocks, each with
+// its size as the extent.
 // Crash-point enumeration calls it after every recovery.
 func (m *Manager) CheckInvariants() error {
 	mirrored := 0
@@ -47,7 +50,6 @@ func (m *Manager) CheckInvariants() error {
 
 	dramOwner := make(map[int]Key)
 	lpnOwner := make(map[int64]Key)
-	dirty := 0
 	for key, loc := range m.table {
 		if loc.key != key {
 			return fmt.Errorf("table[%+v] holds key %+v", key, loc.key)
@@ -69,14 +71,11 @@ func (m *Manager) CheckInvariants() error {
 				return fmt.Errorf("DRAM page %d owned by both %+v and %+v", loc.dramPage, prev, key)
 			}
 			dramOwner[loc.dramPage] = key
-			if loc.links[lruLink].queued != loc.links[fifoLink].queued {
-				return fmt.Errorf("block %+v half-enqueued in the dirty lists", key)
-			}
-			if loc.links[lruLink].queued {
-				dirty++
-			}
-		} else if loc.links[lruLink].queued || loc.links[fifoLink].queued {
-			return fmt.Errorf("flash-resident block %+v still in the dirty lists", key)
+		}
+		if ext, buffered := m.buf.Extent(wbuf.Key(key)); buffered != loc.inDRAM() {
+			return fmt.Errorf("block %+v in DRAM %v but buffered %v", key, loc.inDRAM(), buffered)
+		} else if buffered && ext != loc.size {
+			return fmt.Errorf("block %+v buffered extent %d, size %d", key, ext, loc.size)
 		}
 		if loc.lpn >= 0 {
 			if prev, dup := lpnOwner[loc.lpn]; dup {
@@ -125,17 +124,8 @@ func (m *Manager) CheckInvariants() error {
 		}
 	}
 
-	queued := m.writeOrder.Len()
-	if m.dirtyOrder.Len() != queued {
-		return fmt.Errorf("dirty lists disagree: %d vs %d", queued, m.dirtyOrder.Len())
+	if m.buf.Len() != len(dramOwner) {
+		return fmt.Errorf("write buffer holds %d blocks, %d are DRAM-resident", m.buf.Len(), len(dramOwner))
 	}
-	if queued != dirty {
-		return fmt.Errorf("%d blocks queued dirty, %d marked dirty", queued, dirty)
-	}
-	for loc := m.writeOrder.Front(); loc != nil; loc = m.writeOrder.Next(loc) {
-		if m.table[loc.key] != loc {
-			return fmt.Errorf("dirty list holds dropped block %+v", loc.key)
-		}
-	}
-	return nil
+	return m.buf.CheckInvariants()
 }

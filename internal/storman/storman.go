@@ -19,6 +19,11 @@
 //   - deleting an object drops its DRAM blocks (bytes that never reach
 //     flash) and trims its flash pages so cleaning can reclaim them.
 //
+// The write-back policy — which dirty block leaves DRAM, when, and the
+// absorption accounting — is internal/wbuf's, the same buffer E3
+// measures; the manager keeps placement: DRAM pages, flash pages,
+// copy-on-write, trim, power-failure recovery and mount.
+//
 // Block data physically lives in the simulated DRAM device and in the
 // flash device behind the translation layer, so every access is charged
 // realistic latency and energy.
@@ -33,6 +38,7 @@ import (
 	"ssmobile/internal/engine"
 	"ssmobile/internal/obs"
 	"ssmobile/internal/sim"
+	"ssmobile/internal/wbuf"
 )
 
 // Sentinel errors.
@@ -93,101 +99,19 @@ func (s Stats) Reduction() float64 {
 	return 1 - float64(s.FlushedBytes)/float64(s.HostBytesWritten)
 }
 
-// blockLoc records where a block currently lives. A block dirty in DRAM
-// may still have a flash copy at lpn holding its last flushed version
-// (flashSize bytes); that stale copy is what survives a power failure.
+// blockLoc records where a block currently lives. A block in DRAM is
+// dirty and buffered; it may still have a flash copy at lpn holding its
+// last flushed version (flashSize bytes), and that stale copy is what
+// survives a power failure.
 type blockLoc struct {
-	key        Key
-	size       int   // logical bytes in the block (current version)
-	flashSize  int   // logical bytes in the last flushed flash version
-	dramPage   int   // -1 if not in DRAM
-	lpn        int64 // -1 if not in flash
-	dirtySince sim.Time
-	lastWrite  sim.Time
-	// links thread the loc onto the dirty lists (writeOrder, dirtyOrder)
-	// intrusively, so queueing a dirty block never allocates.
-	links [2]locLinks
+	key       Key
+	size      int   // logical bytes in the block (current version)
+	flashSize int   // logical bytes in the last flushed flash version
+	dramPage  int   // -1 if not in DRAM
+	lpn       int64 // -1 if not in flash
 }
 
 func (l *blockLoc) inDRAM() bool { return l.dramPage >= 0 }
-
-// Link-pair indexes into blockLoc.links.
-const (
-	lruLink  = iota // writeOrder: LRW order of dirty DRAM blocks
-	fifoLink        // dirtyOrder: dirty-age order
-)
-
-type locLinks struct {
-	prev, next *blockLoc
-	queued     bool
-}
-
-// locList is an intrusive doubly-linked list of blockLocs threading the
-// link pair selected by idx. It replaces container/list on the dirty
-// lists: membership is a flag on the loc, and push/remove touch only
-// existing nodes.
-type locList struct {
-	head, tail *blockLoc
-	idx        int
-	n          int
-}
-
-func (l *locList) Front() *blockLoc { return l.head }
-
-func (l *locList) Next(loc *blockLoc) *blockLoc { return loc.links[l.idx].next }
-
-func (l *locList) Len() int { return l.n }
-
-func (l *locList) Queued(loc *blockLoc) bool { return loc.links[l.idx].queued }
-
-func (l *locList) PushBack(loc *blockLoc) {
-	lk := &loc.links[l.idx]
-	lk.prev, lk.next, lk.queued = l.tail, nil, true
-	if l.tail != nil {
-		l.tail.links[l.idx].next = loc
-	} else {
-		l.head = loc
-	}
-	l.tail = loc
-	l.n++
-}
-
-func (l *locList) Remove(loc *blockLoc) {
-	lk := &loc.links[l.idx]
-	if !lk.queued {
-		return
-	}
-	if lk.prev != nil {
-		lk.prev.links[l.idx].next = lk.next
-	} else {
-		l.head = lk.next
-	}
-	if lk.next != nil {
-		lk.next.links[l.idx].prev = lk.prev
-	} else {
-		l.tail = lk.prev
-	}
-	lk.prev, lk.next, lk.queued = nil, nil, false
-	l.n--
-}
-
-func (l *locList) MoveToBack(loc *blockLoc) {
-	if l.tail == loc {
-		return
-	}
-	l.Remove(loc)
-	l.PushBack(loc)
-}
-
-// Init empties the list, clearing every member's links.
-func (l *locList) Init() {
-	for loc := l.head; loc != nil; {
-		next := loc.links[l.idx].next
-		loc.links[l.idx] = locLinks{}
-		loc = next
-	}
-	l.head, l.tail, l.n = nil, nil, 0
-}
 
 // Manager is the physical storage manager. Not safe for concurrent use.
 type Manager struct {
@@ -204,8 +128,10 @@ type Manager struct {
 
 	freeLPN []int64
 
-	writeOrder locList // LRW order of dirty DRAM blocks
-	dirtyOrder locList // dirty-age order
+	// buf is the write-back policy over the DRAM-resident blocks: every
+	// block in a DRAM page is buffered there with its size as the extent,
+	// and buf decides when each migrates to flash.
+	buf *wbuf.Buffer
 
 	// Reusable hot-path scratch. The manager is single-threaded; each
 	// buffer serves one non-nesting code path (migrate can run inside the
@@ -222,20 +148,9 @@ type Manager struct {
 	// per-object maps are pre-sized with it (see insert).
 	maxObjBlocks int
 
-	// Batched-submission accounting: inside a beginBatch/endBatch window
-	// (sync, object sync, daemon pass) the per-block flush counters
-	// accumulate here and fold into the shared counters once.
-	batching     bool
-	batchFlushed int64
-	batchDaemon  int64
-
-	obs                     *obs.Observer
-	hostWritten, hostRead   *obs.Counter
-	flushed                 *obs.Counter
-	overwriteAbsorbed       *obs.Counter
-	deleteAbsorbed          *obs.Counter
-	cows, evictions, daemon *obs.Counter
-	flashReads, dramReads   *obs.Counter
+	obs                   *obs.Observer
+	hostRead, cows        *obs.Counter
+	flashReads, dramReads *obs.Counter
 }
 
 // New builds a manager over the DRAM device region and the translation
@@ -262,23 +177,29 @@ func New(cfg Config, clock *sim.Clock, dramDev *dram.Device, fl engine.Engine) (
 		// flash-resident (at most the device's logical pages), so the
 		// table's final size is known now; pre-sizing trades one upfront
 		// allocation for all the incremental rehash growth.
-		table:             make(map[Key]*blockLoc, int(cfg.DRAMBytes/int64(cfg.BlockBytes))+int(fl.LogicalPages())),
-		byObject:          make(map[uint64]map[int64]*blockLoc),
-		totalPages:        int(cfg.DRAMBytes / int64(cfg.BlockBytes)),
-		writeOrder:        locList{idx: lruLink},
-		dirtyOrder:        locList{idx: fifoLink},
-		obs:               o,
-		hostWritten:       o.Counter("host_bytes_total", obs.Labels{"layer": "storman", "op": "write"}),
-		hostRead:          o.Counter("host_bytes_total", obs.Labels{"layer": "storman", "op": "read"}),
-		flushed:           o.Counter("flushed_bytes_total", lbl),
-		overwriteAbsorbed: o.Counter("absorbed_bytes_total", obs.Labels{"layer": "storman", "reason": "overwrite"}),
-		deleteAbsorbed:    o.Counter("absorbed_bytes_total", obs.Labels{"layer": "storman", "reason": "delete"}),
-		cows:              o.Counter("copy_on_writes_total", lbl),
-		evictions:         o.Counter("evictions_total", lbl),
-		daemon:            o.Counter("daemon_flushes_total", lbl),
-		flashReads:        o.Counter("reads_total", obs.Labels{"layer": "storman", "medium": "flash"}),
-		dramReads:         o.Counter("reads_total", obs.Labels{"layer": "storman", "medium": "dram"}),
+		table:      make(map[Key]*blockLoc, int(cfg.DRAMBytes/int64(cfg.BlockBytes))+int(fl.LogicalPages())),
+		byObject:   make(map[uint64]map[int64]*blockLoc),
+		totalPages: int(cfg.DRAMBytes / int64(cfg.BlockBytes)),
+		obs:        o,
+		hostRead:   o.Counter("host_bytes_total", obs.Labels{"layer": "storman", "op": "read"}),
+		cows:       o.Counter("copy_on_writes_total", lbl),
+		flashReads: o.Counter("reads_total", obs.Labels{"layer": "storman", "medium": "flash"}),
+		dramReads:  o.Counter("reads_total", obs.Labels{"layer": "storman", "medium": "dram"}),
 	}
+	// The page pool, not the byte capacity, is the binding limit: each
+	// buffered block holds one page, so the extents never outgrow the
+	// pool's bytes, and allocDRAMPage evicts through buf when it runs dry.
+	buf, err := wbuf.New(wbuf.Config{
+		CapacityBytes:  int64(m.totalPages) * int64(cfg.BlockBytes),
+		BlockBytes:     cfg.BlockBytes,
+		WriteBackDelay: cfg.WriteBackDelay,
+		Policy:         wbuf.EvictLRW,
+		Obs:            o,
+	}, clock, wbuf.SinkFunc(m.flushBlock))
+	if err != nil {
+		return nil, err
+	}
+	m.buf = buf
 	o.GaugeFunc("dram_pages_in_use", lbl, func() float64 { return float64(m.totalPages - len(m.freeDRAM)) })
 	o.GaugeFunc("buffer_occupancy", lbl, m.BufferOccupancy)
 	for p := m.totalPages - 1; p >= 0; p-- {
@@ -371,47 +292,38 @@ func (m *Manager) newLoc() *blockLoc {
 	return &slab[0]
 }
 
-// enqueueDirty puts the block on the dirty lists.
-func (m *Manager) enqueueDirty(loc *blockLoc) {
-	now := m.clock.Now()
-	loc.dirtySince = now
-	loc.lastWrite = now
-	m.writeOrder.PushBack(loc)
-	m.dirtyOrder.PushBack(loc)
-}
-
-// dequeueDirty removes the block from the dirty lists.
-func (m *Manager) dequeueDirty(loc *blockLoc) {
-	m.writeOrder.Remove(loc)
-	m.dirtyOrder.Remove(loc)
-}
-
-// allocDRAMPage returns a free page, evicting the least recently written
-// dirty block if necessary.
+// allocDRAMPage returns a free page, evicting a buffered block through
+// the write buffer if the pool is empty.
 func (m *Manager) allocDRAMPage() (int, error) {
-	if n := len(m.freeDRAM); n > 0 {
-		p := m.freeDRAM[n-1]
-		m.freeDRAM = m.freeDRAM[:n-1]
-		return p, nil
+	for len(m.freeDRAM) == 0 {
+		evicted, err := m.buf.Evict()
+		if err != nil {
+			return 0, err
+		}
+		if !evicted {
+			return 0, ErrNoDRAM
+		}
 	}
-	loc := m.writeOrder.Front()
-	if loc == nil {
-		return 0, ErrNoDRAM
-	}
-	m.evictions.Inc()
-	if err := m.migrateToFlash(loc); err != nil {
-		return 0, err
-	}
-	return m.allocDRAMPage()
+	n := len(m.freeDRAM)
+	p := m.freeDRAM[n-1]
+	m.freeDRAM = m.freeDRAM[:n-1]
+	return p, nil
 }
 
-// migrateToFlash flushes a dirty DRAM block to flash and frees its page.
 // span opens an op span against the manager's clock and the DRAM device's
 // energy meter (shared with flash in assembled systems).
 func (m *Manager) span(op string) obs.SpanRef {
 	return m.obs.Span(m.clock, m.dram.Meter(), "storman", op)
 }
 
+// flushBlock is the write buffer's sink. The buffer flushes a block's
+// whole extent, which CheckInvariants holds equal to its size, so the
+// migration needs only the key.
+func (m *Manager) flushBlock(key wbuf.Key, _, _ int) error {
+	return m.migrateToFlash(m.table[Key(key)])
+}
+
+// migrateToFlash writes a DRAM block to flash and frees its page.
 func (m *Manager) migrateToFlash(loc *blockLoc) (err error) {
 	// Migration is the write-buffer eviction stall (obs.StageFlush):
 	// the residue after the nested device spans claim their own stages.
@@ -441,16 +353,10 @@ func (m *Manager) migrateToFlash(loc *blockLoc) (err error) {
 	if err := m.fl.WritePageTagged(lpn, buf, encodeTag(loc.key)); err != nil {
 		return err
 	}
-	if m.batching {
-		m.batchFlushed += int64(loc.size)
-	} else {
-		m.flushed.Add(int64(loc.size))
-	}
 	m.freeDRAM = append(m.freeDRAM, loc.dramPage)
 	loc.dramPage = -1
 	loc.lpn = lpn
 	loc.flashSize = loc.size
-	m.dequeueDirty(loc)
 	return nil
 }
 
@@ -461,27 +367,17 @@ func (m *Manager) WriteBlock(key Key, data []byte) (err error) {
 	}
 	sp := m.span("write")
 	defer func() { sp.End(int64(len(data)), err) }()
-	m.hostWritten.Add(int64(len(data)))
 	loc := m.lookup(key)
 
 	switch {
 	case loc != nil && loc.inDRAM():
-		// Overwrite absorbed in place.
-		m.overwriteAbsorbed.Add(int64(loc.size))
+		// A DRAM-resident block is always buffered dirty: the overwrite
+		// is absorbed in place.
 		if _, err := m.dram.Write(m.pageAddr(loc.dramPage), data); err != nil {
 			return err
 		}
-		if len(data) > loc.size {
-			loc.size = len(data)
-		}
-		loc.lastWrite = m.clock.Now()
-		if m.writeOrder.Queued(loc) {
-			m.writeOrder.MoveToBack(loc)
-		} else {
-			// Was clean in DRAM (just copied on write); mark dirty.
-			m.enqueueDirty(loc)
-		}
-		return nil
+		loc.size = max(loc.size, len(data))
+		return m.buf.Write(wbuf.Key(key), 0, len(data))
 
 	case loc != nil:
 		// Copy-on-write from flash: bring the block to DRAM and apply the
@@ -501,17 +397,14 @@ func (m *Manager) WriteBlock(key Key, data []byte) (err error) {
 			return err
 		}
 		copy(old, data)
-		size := loc.size
-		if len(data) > size {
-			size = len(data)
-		}
+		base := loc.size
+		size := max(base, len(data))
 		if _, err := m.dram.Write(m.pageAddr(page), old[:size]); err != nil {
 			return err
 		}
 		loc.dramPage = page
 		loc.size = size
-		m.enqueueDirty(loc)
-		return nil
+		return m.buf.WriteOver(wbuf.Key(key), base, 0, len(data))
 
 	default:
 		page, err := m.allocDRAMPage()
@@ -524,8 +417,7 @@ func (m *Manager) WriteBlock(key Key, data []byte) (err error) {
 		loc = m.newLoc()
 		loc.key, loc.size, loc.dramPage, loc.lpn = key, len(data), page, -1
 		m.insert(loc)
-		m.enqueueDirty(loc)
-		return nil
+		return m.buf.Write(wbuf.Key(key), 0, len(data))
 	}
 }
 
@@ -627,6 +519,7 @@ func (m *Manager) TruncateBlock(key Key, size int) error {
 		return m.dropBlock(loc)
 	}
 	loc.size = size
+	m.buf.Truncate(wbuf.Key(key), size)
 	return nil
 }
 
@@ -652,9 +545,8 @@ func (m *Manager) DeleteBlock(key Key) error {
 
 func (m *Manager) dropBlock(loc *blockLoc) error {
 	if loc.inDRAM() {
-		m.deleteAbsorbed.Add(int64(loc.size))
+		m.buf.InvalidateBlock(wbuf.Key(loc.key))
 		m.freeDRAM = append(m.freeDRAM, loc.dramPage)
-		m.dequeueDirty(loc)
 	}
 	if loc.lpn >= 0 {
 		if err := m.fl.TrimPage(loc.lpn); err != nil {
@@ -681,70 +573,11 @@ func (m *Manager) Tick() error {
 // it when requests are backlogged: aged blocks must still migrate, but
 // the cleaner gets no free ride when there is no idle time — that is
 // when its lag becomes visible and admission control engages.
-func (m *Manager) TickDaemon() error {
-	if m.cfg.WriteBackDelay > 0 {
-		now := m.clock.Now()
-		defer m.endBatch(m.beginBatch())
-		for {
-			loc := m.dirtyOrder.Front()
-			if loc == nil {
-				break
-			}
-			if now.Sub(loc.dirtySince) < m.cfg.WriteBackDelay {
-				break
-			}
-			m.batchDaemon++
-			if err := m.migrateToFlash(loc); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// beginBatch opens a batched-submission window: per-block flush and
-// daemon counts accumulate locally and fold into the shared counters in
-// one add each at endBatch. Per-block spans are untouched — the batch
-// seam amortises only metric bookkeeping, never the causal record — and
-// nothing reads the counters mid-window in the single-threaded
-// simulation, so the folded totals are indistinguishable from per-block
-// adds. Nested windows fold at the outermost close.
-func (m *Manager) beginBatch() bool {
-	if m.batching {
-		return false
-	}
-	m.batching = true
-	return true
-}
-
-func (m *Manager) endBatch(outermost bool) {
-	if !outermost {
-		return
-	}
-	m.batching = false
-	if m.batchFlushed != 0 {
-		m.flushed.Add(m.batchFlushed)
-		m.batchFlushed = 0
-	}
-	if m.batchDaemon != 0 {
-		m.daemon.Add(m.batchDaemon)
-		m.batchDaemon = 0
-	}
-}
+func (m *Manager) TickDaemon() error { return m.buf.Tick() }
 
 // SyncObject migrates the object's dirty blocks to flash — an fsync of
 // one file, used by the file system to checkpoint its metadata object.
-func (m *Manager) SyncObject(object uint64) error {
-	defer m.endBatch(m.beginBatch())
-	for _, loc := range m.blocksInOrder(object) {
-		if loc.inDRAM() {
-			if err := m.migrateToFlash(loc); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+func (m *Manager) SyncObject(object uint64) error { return m.buf.FlushObject(object) }
 
 // PowerFailRecover reconciles the manager's state after the DRAM device
 // lost power: every DRAM-resident block reverts to its last flushed flash
@@ -783,10 +616,7 @@ func (m *Manager) PowerFailRecover() (lostBytes int64) {
 			gone = append(gone, loc)
 		}
 	}
-	// Empty the dirty lists before recycling the gone locs: remove resets
-	// the loc wholesale, which would break the lists' link threading.
-	m.writeOrder.Init()
-	m.dirtyOrder.Init()
+	m.buf.Discard()
 	for _, loc := range gone {
 		m.remove(loc)
 	}
@@ -799,35 +629,25 @@ func (m *Manager) PowerFailRecover() (lostBytes int64) {
 }
 
 // Sync migrates every dirty block to flash (shutdown, or an explicit
-// application fsync). These migrations are forced out early by the sync
-// rather than aged out by the write-back daemon, so their flash traffic
-// is charged to the group-commit-flush cause; daemon and eviction
-// migrations keep the ambient cause (host-write by default).
-func (m *Manager) Sync() error {
-	defer m.obs.PushCause(obs.CauseGroupCommitFlush)()
-	defer m.endBatch(m.beginBatch())
-	for {
-		loc := m.dirtyOrder.Front()
-		if loc == nil {
-			return nil
-		}
-		if err := m.migrateToFlash(loc); err != nil {
-			return err
-		}
-	}
-}
+// application fsync), oldest dirty first. These migrations are forced out
+// early by the sync rather than aged out by the write-back daemon, so the
+// buffer charges their flash traffic to the group-commit-flush cause;
+// daemon and eviction migrations keep the ambient cause (host-write by
+// default).
+func (m *Manager) Sync() error { return m.buf.Sync() }
 
 // Stats summarises the manager's counters.
 func (m *Manager) Stats() Stats {
+	bs := m.buf.Stats()
 	return Stats{
-		HostBytesWritten:       m.hostWritten.Value(),
+		HostBytesWritten:       bs.HostBytes,
 		HostBytesRead:          m.hostRead.Value(),
-		FlushedBytes:           m.flushed.Value(),
-		OverwriteAbsorbedBytes: m.overwriteAbsorbed.Value(),
-		DeleteAbsorbedBytes:    m.deleteAbsorbed.Value(),
+		FlushedBytes:           bs.FlushedBytes,
+		OverwriteAbsorbedBytes: bs.OverwriteAbsorbedBytes,
+		DeleteAbsorbedBytes:    bs.DeleteAbsorbedBytes,
 		CopyOnWrites:           m.cows.Value(),
-		Evictions:              m.evictions.Value(),
-		DaemonFlushes:          m.daemon.Value(),
+		Evictions:              bs.Evictions,
+		DaemonFlushes:          bs.DaemonFlushes,
 		FlashReads:             m.flashReads.Value(),
 		DRAMReads:              m.dramReads.Value(),
 		DRAMPagesInUse:         m.totalPages - len(m.freeDRAM),

@@ -209,6 +209,54 @@ func TestOverwriteAbsorption(t *testing.T) {
 	}
 }
 
+// Conservation: a short rewrite of a buffered block is credited with the
+// bytes it brings, not the resident block's size, so that after Sync
+// host = flushed + overwrite-absorbed + delete-absorbed.
+func TestShortOverwriteConservesBytes(t *testing.T) {
+	r := newRig(t, 1<<20, 0)
+	key := Key{Object: 1, Block: 0}
+	if err := r.m.WriteBlock(key, blockOf(1, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.WriteBlock(key, blockOf(2, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s := r.m.Stats()
+	if s.HostBytesWritten != 4196 || s.FlushedBytes != 4096 || s.OverwriteAbsorbedBytes != 100 {
+		t.Fatalf("host %d flushed %d overwrite-absorbed %d, want 4196 = 4096 + 100",
+			s.HostBytesWritten, s.FlushedBytes, s.OverwriteAbsorbedBytes)
+	}
+	if got := s.FlushedBytes + s.OverwriteAbsorbedBytes + s.DeleteAbsorbedBytes; got != s.HostBytesWritten {
+		t.Fatalf("flushed+absorbed = %d, host = %d", got, s.HostBytesWritten)
+	}
+}
+
+// CheckInvariants ties placement to the write buffer: a DRAM-resident
+// block the buffer does not hold, or holds at another size, is caught.
+func TestInvariantsTieDRAMToBuffer(t *testing.T) {
+	r := newRig(t, 1<<20, 0)
+	key := Key{Object: 1, Block: 0}
+	if err := r.m.WriteBlock(key, blockOf(1, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	loc := r.m.lookup(key)
+	loc.size = 100
+	if err := r.m.CheckInvariants(); err == nil {
+		t.Fatal("buffered extent != block size not caught")
+	}
+	loc.size = 4096
+	r.m.buf.Discard()
+	if err := r.m.CheckInvariants(); err == nil {
+		t.Fatal("unbuffered DRAM-resident block not caught")
+	}
+}
+
 func TestDeleteAbsorption(t *testing.T) {
 	r := newRig(t, 1<<20, 0)
 	for blk := int64(0); blk < 8; blk++ {
@@ -483,7 +531,7 @@ func TestObjectsAndDeleteBlock(t *testing.T) {
 }
 
 // Property: arbitrary single-object write/delete/sync sequences match a
-// map model.
+// map model, and the placement invariants hold after every step.
 func TestManagerModelProperty(t *testing.T) {
 	type op struct {
 		Obj    uint8
@@ -521,6 +569,10 @@ func TestManagerModelProperty(t *testing.T) {
 				if err := r.m.Tick(); err != nil {
 					return false
 				}
+			}
+			if err := r.m.CheckInvariants(); err != nil {
+				t.Log(err)
+				return false
 			}
 		}
 		buf := make([]byte, 4096)

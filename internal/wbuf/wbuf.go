@@ -1,20 +1,26 @@
-// Package wbuf implements the battery-backed DRAM write buffer of the
-// paper's physical storage manager (§3.3): written data is held in DRAM
-// and flushed to flash lazily, so that the many bytes that die young —
-// short-lived files and blocks that are promptly overwritten — never reach
-// flash at all.
+// Package wbuf implements the write-back policy of the battery-backed
+// DRAM write buffer in the paper's physical storage manager (§3.3):
+// written data is held in DRAM and flushed to flash lazily, so that the
+// many bytes that die young — short-lived files and blocks that are
+// promptly overwritten — never reach flash at all.
 //
 // This is the mechanism behind the paper's quantitative anchor: "as little
 // as one megabyte of battery-backed RAM can reduce write traffic by 40 to
 // 50%" (citing Baker et al.). Because the buffer is battery-backed, data
 // parked here survives OS crashes, which is what makes the laziness safe.
 //
+// The buffer tracks dirty blocks, not their bytes: each entry is a key and
+// an extent, the length of the block's dirty prefix. Where the bytes live
+// is the caller's business — the storage manager keeps them in DRAM pages,
+// and the trace replays of E3 have none at all. The buffer decides when a
+// block leaves and hands it to its Sink.
+//
 // The buffer absorbs traffic through two routes:
 //
-//   - overwrite absorption: a write to a block that is already buffered
-//     dirty replaces it in place;
-//   - death absorption: when a file is deleted, its dirty blocks are
-//     dropped without ever being flushed.
+//   - overwrite absorption: the part of a write that overlaps a buffered
+//     block's extent replaces bytes that will now never reach flash;
+//   - death absorption: when a file is deleted or truncated, its dirty
+//     bytes are dropped without ever being flushed.
 //
 // Dirty blocks leave the buffer either because a write-back daemon flushes
 // blocks older than the write-back delay (the classic 30-second Unix
@@ -29,8 +35,8 @@ import (
 	"ssmobile/internal/sim"
 )
 
-// ErrTooLarge reports a block bigger than the buffer's block size.
-var ErrTooLarge = errors.New("wbuf: data exceeds block size")
+// ErrTooLarge reports a write reaching past the buffer's block size.
+var ErrTooLarge = errors.New("wbuf: write exceeds block size")
 
 // Key names one buffered block: an object (file) and a block index within
 // it.
@@ -39,16 +45,18 @@ type Key struct {
 	Block  int64
 }
 
-// Sink receives blocks the buffer flushes to stable storage.
+// Sink receives the blocks the buffer flushes to stable storage: bytes
+// [off, off+n) of the block. A buffered block flushes its whole extent
+// (off 0); with the buffer disabled, each host write passes through as is.
 type Sink interface {
-	FlushBlock(key Key, data []byte) error
+	FlushBlock(key Key, off, n int) error
 }
 
 // SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(key Key, data []byte) error
+type SinkFunc func(key Key, off, n int) error
 
 // FlushBlock calls f.
-func (f SinkFunc) FlushBlock(key Key, data []byte) error { return f(key, data) }
+func (f SinkFunc) FlushBlock(key Key, off, n int) error { return f(key, off, n) }
 
 // EvictPolicy selects which dirty block is flushed first when the buffer
 // is full.
@@ -78,10 +86,10 @@ func (p EvictPolicy) String() string {
 
 // Config parameterises the buffer.
 type Config struct {
-	// CapacityBytes bounds the total buffered data. Zero means the buffer
-	// is disabled: every write flushes through immediately.
+	// CapacityBytes bounds the total buffered extent. Zero means the
+	// buffer is disabled: every write flushes through immediately.
 	CapacityBytes int64
-	// BlockBytes is the maximum (and usual) block size.
+	// BlockBytes is the block size; no write may reach past it.
 	BlockBytes int
 	// WriteBackDelay is the age at which the daemon flushes a dirty block,
 	// measured from when the block first became dirty. Zero disables
@@ -89,8 +97,7 @@ type Config struct {
 	WriteBackDelay sim.Duration
 	// Policy selects the eviction order.
 	Policy EvictPolicy
-	// Obs receives the buffer's metrics and op spans; nil falls back to
-	// obs.Default().
+	// Obs receives the buffer's metrics; nil falls back to obs.Default().
 	Obs *obs.Observer
 }
 
@@ -102,7 +109,7 @@ type Stats struct {
 	FlushedBytes int64
 	// OverwriteAbsorbedBytes were absorbed by in-place overwrites.
 	OverwriteAbsorbedBytes int64
-	// DeleteAbsorbedBytes were dropped when their file died.
+	// DeleteAbsorbedBytes were dropped when their file died or shrank.
 	DeleteAbsorbedBytes int64
 	// Evictions counts capacity-forced flushes; DaemonFlushes age-forced.
 	Evictions, DaemonFlushes int64
@@ -119,18 +126,18 @@ func (s Stats) Reduction() float64 {
 
 type entry struct {
 	key        Key
-	data       []byte
+	extent     int
 	dirtySince sim.Time
-	lastWrite  sim.Time
-	// links thread the entry onto writeOrder (LRW) and dirtyOrder
-	// (dirty-age) intrusively, so queueing never allocates.
-	links [2]entryLinks
+	// links thread the entry onto writeOrder (LRW), dirtyOrder (dirty-age)
+	// and its object's list intrusively, so queueing never allocates.
+	links [3]entryLinks
 }
 
 // Link-pair indexes into entry.links.
 const (
 	lruLink  = iota // writeOrder: front = least recently written
 	fifoLink        // dirtyOrder: front = dirty longest
+	objLink         // byObject: the object's blocks, unordered
 )
 
 type entryLinks struct {
@@ -144,6 +151,7 @@ type entryLinks struct {
 type entryList struct {
 	head, tail *entry
 	idx        int
+	n          int
 }
 
 func (l *entryList) Front() *entry { return l.head }
@@ -157,6 +165,7 @@ func (l *entryList) PushBack(e *entry) {
 		l.head = e
 	}
 	l.tail = e
+	l.n++
 }
 
 func (l *entryList) Remove(e *entry) {
@@ -175,6 +184,7 @@ func (l *entryList) Remove(e *entry) {
 		l.tail = lk.prev
 	}
 	lk.prev, lk.next, lk.queued = nil, nil, false
+	l.n--
 }
 
 func (l *entryList) MoveToBack(e *entry) {
@@ -192,16 +202,14 @@ type Buffer struct {
 	sink  Sink
 
 	entries    map[Key]*entry
-	byObject   map[uint64]map[int64]*entry
+	byObject   map[uint64]entryList
 	writeOrder entryList // front = least recently written
 	dirtyOrder entryList // front = dirty longest
 	size       int64
 
-	// entryFree recycles dropped entries — including their data capacity —
-	// and freeMaps recycles emptied per-object maps; ordered is the
-	// InvalidateObject scratch.
+	// entryFree recycles dropped entries; ordered is the per-object
+	// scratch.
 	entryFree []*entry
-	freeMaps  []map[int64]*entry
 	ordered   []*entry
 
 	obs                     *obs.Observer
@@ -223,12 +231,14 @@ func New(cfg Config, clock *sim.Clock, sink Sink) (*Buffer, error) {
 		return nil, fmt.Errorf("wbuf: nil sink")
 	}
 	o := obs.Or(cfg.Obs)
-	b := &Buffer{
-		cfg:               cfg,
-		clock:             clock,
-		sink:              sink,
-		entries:           make(map[Key]*entry),
-		byObject:          make(map[uint64]map[int64]*entry),
+	return &Buffer{
+		cfg:   cfg,
+		clock: clock,
+		sink:  sink,
+		// A buffer of full blocks holds capacity/block entries; pre-sizing
+		// for that skips the map's incremental growth.
+		entries:           make(map[Key]*entry, cfg.CapacityBytes/int64(cfg.BlockBytes)),
+		byObject:          make(map[uint64]entryList),
 		writeOrder:        entryList{idx: lruLink},
 		dirtyOrder:        entryList{idx: fifoLink},
 		obs:               o,
@@ -238,20 +248,7 @@ func New(cfg Config, clock *sim.Clock, sink Sink) (*Buffer, error) {
 		deleteAbsorbed:    o.Counter("absorbed_bytes_total", obs.Labels{"layer": "wbuf", "reason": "delete"}),
 		evictions:         o.Counter("evictions_total", obs.Labels{"layer": "wbuf"}),
 		daemonFlush:       o.Counter("daemon_flushes_total", obs.Labels{"layer": "wbuf"}),
-	}
-	// The server's admission control keys off this same gauge, so
-	// backpressure decisions and dashboards always agree.
-	o.GaugeFunc("occupancy", obs.Labels{"layer": "wbuf"}, b.Occupancy)
-	return b, nil
-}
-
-// Occupancy reports the buffered fraction of capacity in [0, 1]; a
-// disabled (zero-capacity) buffer reports 0.
-func (b *Buffer) Occupancy() float64 {
-	if b.cfg.CapacityBytes <= 0 {
-		return 0
-	}
-	return float64(b.size) / float64(b.cfg.CapacityBytes)
+	}, nil
 }
 
 // Config returns the buffer configuration.
@@ -260,91 +257,93 @@ func (b *Buffer) Config() Config { return b.cfg }
 // Len reports the number of buffered blocks.
 func (b *Buffer) Len() int { return len(b.entries) }
 
-// Size reports the buffered bytes.
+// Size reports the buffered bytes: the sum of every block's extent.
 func (b *Buffer) Size() int64 { return b.size }
 
-// Write buffers data for key. If the block is already buffered the write
-// is absorbed in place. The data is copied.
-func (b *Buffer) Write(key Key, data []byte) error {
-	if len(data) > b.cfg.BlockBytes {
-		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(data), b.cfg.BlockBytes)
+// Extent reports the dirty prefix length of a buffered block, and whether
+// the block is buffered at all.
+func (b *Buffer) Extent(key Key) (int, bool) {
+	if e, ok := b.entries[key]; ok {
+		return e.extent, true
 	}
-	b.hostBytes.Add(int64(len(data)))
+	return 0, false
+}
+
+// Write records a host write of n bytes at byte off of key's block. A new
+// entry's extent is off+n; a buffered block's extent grows to cover the
+// write, and the part of the write overlapping the old extent is credited
+// as overwrite-absorbed. Blocks are modelled as prefixes, as the storage
+// manager and the file system's read-modify-write keep them.
+func (b *Buffer) Write(key Key, off, n int) error { return b.WriteOver(key, 0, off, n) }
+
+// WriteOver is Write for a block whose first base bytes were read back
+// from stable storage (copy-on-write): a new entry spans at least base
+// bytes, so its flush rewrites that prefix along with the write. The base
+// bytes are not host traffic.
+func (b *Buffer) WriteOver(key Key, base, off, n int) error {
+	end := off + n
+	if off < 0 || n < 0 || end > b.cfg.BlockBytes || base > b.cfg.BlockBytes {
+		return fmt.Errorf("%w: [%d,%d) of %d", ErrTooLarge, off, end, b.cfg.BlockBytes)
+	}
+	b.hostBytes.Add(int64(n))
 
 	if b.cfg.CapacityBytes == 0 {
 		// Buffer disabled: write-through.
-		b.flushedBytes.Add(int64(len(data)))
-		return b.sink.FlushBlock(key, data)
+		return b.flushRange(key, off, n)
 	}
 
-	now := b.clock.Now()
 	if e, ok := b.entries[key]; ok {
-		// The absorbed traffic is the incoming write — the bytes that
-		// would otherwise have reached flash — not the size of the stale
-		// buffered version it replaces.
-		b.overwriteAbsorbed.Add(int64(len(data)))
-		b.size += int64(len(data)) - int64(len(e.data))
-		e.data = append(e.data[:0], data...)
-		e.lastWrite = now
+		if overlap := min(end, e.extent) - off; overlap > 0 {
+			b.overwriteAbsorbed.Add(int64(overlap))
+		}
+		if end > e.extent {
+			b.size += int64(end - e.extent)
+			e.extent = end
+		}
 		b.writeOrder.MoveToBack(e)
 		return b.ensureCapacity()
 	}
 
 	e := b.newEntry()
 	e.key = key
-	e.data = append(e.data[:0], data...)
-	e.dirtySince = now
-	e.lastWrite = now
+	e.extent = max(base, end)
+	e.dirtySince = b.clock.Now()
 	b.writeOrder.PushBack(e)
 	b.dirtyOrder.PushBack(e)
 	b.entries[key] = e
 	blocks := b.byObject[key.Object]
-	if blocks == nil {
-		if n := len(b.freeMaps); n > 0 {
-			blocks = b.freeMaps[n-1]
-			b.freeMaps = b.freeMaps[:n-1]
-		} else {
-			blocks = make(map[int64]*entry)
-		}
-		b.byObject[key.Object] = blocks
-	}
-	blocks[key.Block] = e
-	b.size += int64(len(data))
+	blocks.idx = objLink
+	blocks.PushBack(e)
+	b.byObject[key.Object] = blocks
+	b.size += int64(e.extent)
 	return b.ensureCapacity()
 }
 
-// newEntry returns a reset entry, reusing a recycled one (and its data
-// capacity) when possible.
+// newEntry returns a reset entry, reusing a recycled one when possible.
+// Fresh entries come from slabs, so filling the buffer costs one
+// allocation per 64 blocks.
 func (b *Buffer) newEntry() *entry {
 	if n := len(b.entryFree); n > 0 {
 		e := b.entryFree[n-1]
 		b.entryFree = b.entryFree[:n-1]
 		return e
 	}
-	return &entry{}
-}
-
-// Read returns the buffered data for key, if present. The returned slice
-// is the buffer's own copy; callers must not modify it, and it is only
-// valid until the block leaves the buffer (flush or invalidation — the
-// backing array is recycled for later writes).
-func (b *Buffer) Read(key Key) ([]byte, bool) {
-	e, ok := b.entries[key]
-	if !ok {
-		return nil, false
+	slab := make([]entry, 64)
+	for i := len(slab) - 1; i > 0; i-- {
+		b.entryFree = append(b.entryFree, &slab[i])
 	}
-	return e.data, true
+	return &slab[0]
 }
 
-// InvalidateObject drops every buffered block of the object (the file was
-// deleted); those bytes never reach stable storage.
-func (b *Buffer) InvalidateObject(object uint64) {
-	blocks := b.byObject[object]
-	// Drop in block order, not map order, so the free list (and therefore
-	// every later allocation) is identical run to run. The scratch slice
-	// is reused and sorted by hand (sort.Slice allocates per call).
+// objectBlocks returns the object's buffered blocks in block order, not
+// the order they were dirtied, so that an object's flushes land on the
+// device in the same order whatever the write history. The result is the
+// buffer's scratch, valid until the next call; it is sorted by hand
+// because sort.Slice allocates per call.
+func (b *Buffer) objectBlocks(object uint64) []*entry {
 	ordered := b.ordered[:0]
-	for _, e := range blocks {
+	blocks := b.byObject[object]
+	for e := blocks.Front(); e != nil; e = e.links[objLink].next {
 		ordered = append(ordered, e)
 	}
 	for i := 1; i < len(ordered); i++ {
@@ -353,72 +352,106 @@ func (b *Buffer) InvalidateObject(object uint64) {
 		}
 	}
 	b.ordered = ordered
-	for _, e := range ordered {
-		b.deleteAbsorbed.Add(int64(len(e.data)))
+	return ordered
+}
+
+// InvalidateObject drops every buffered block of the object (the file was
+// deleted); those bytes never reach stable storage.
+func (b *Buffer) InvalidateObject(object uint64) {
+	for _, e := range b.objectBlocks(object) {
+		b.deleteAbsorbed.Add(int64(e.extent))
 		b.drop(e)
 	}
-	delete(b.byObject, object)
 }
 
 // InvalidateBlock drops one buffered block (e.g. a truncated tail).
 func (b *Buffer) InvalidateBlock(key Key) {
 	if e, ok := b.entries[key]; ok {
-		b.deleteAbsorbed.Add(int64(len(e.data)))
+		b.deleteAbsorbed.Add(int64(e.extent))
+		b.drop(e)
+	}
+}
+
+// Truncate shrinks a buffered block's extent to size bytes (a truncation
+// landing mid-block); the cut-off dirty bytes never reach stable storage.
+// Truncating to zero drops the block.
+func (b *Buffer) Truncate(key Key, size int) {
+	e, ok := b.entries[key]
+	switch {
+	case !ok || size >= e.extent:
+	case size <= 0:
+		b.InvalidateBlock(key)
+	default:
+		b.deleteAbsorbed.Add(int64(e.extent - size))
+		b.size -= int64(e.extent - size)
+		e.extent = size
+	}
+}
+
+// Discard drops every buffered block without flushing or crediting it:
+// the buffer lost power, and the dirty bytes with it.
+func (b *Buffer) Discard() {
+	for e := b.dirtyOrder.Front(); e != nil; e = b.dirtyOrder.Front() {
 		b.drop(e)
 	}
 }
 
 // drop removes the entry without flushing and recycles it. The entry is
-// reset to zero state (keeping only its data capacity) so a recycled
-// entry can never leak a stale key, timestamps or list links.
+// reset to zero state so a recycled entry can never leak a stale key,
+// timestamp or list link.
 func (b *Buffer) drop(e *entry) {
 	delete(b.entries, e.key)
-	if blocks := b.byObject[e.key.Object]; blocks != nil {
-		delete(blocks, e.key.Block)
-		if len(blocks) == 0 {
-			delete(b.byObject, e.key.Object)
-			b.freeMaps = append(b.freeMaps, blocks)
-		}
+	if blocks := b.byObject[e.key.Object]; blocks.n > 1 {
+		blocks.Remove(e)
+		b.byObject[e.key.Object] = blocks
+	} else {
+		delete(b.byObject, e.key.Object)
 	}
 	b.writeOrder.Remove(e)
 	b.dirtyOrder.Remove(e)
-	b.size -= int64(len(e.data))
-	data := e.data[:0]
-	*e = entry{data: data}
+	b.size -= int64(e.extent)
+	*e = entry{}
 	b.entryFree = append(b.entryFree, e)
 }
 
-// flush writes the entry to the sink and removes it.
-func (b *Buffer) flush(e *entry) (err error) {
-	// drop recycles the entry, so its size is captured up front for the
-	// deferred span close.
-	n := int64(len(e.data))
-	sp := b.obs.StageSpan(b.clock, nil, "wbuf", "flush", obs.StageFlush)
-	defer func() { sp.End(n, err) }()
-	b.flushedBytes.Add(n)
-	if err := b.sink.FlushBlock(e.key, e.data); err != nil {
+// flushRange hands bytes [off, off+n) of the block to the sink and counts
+// them once they are stable.
+func (b *Buffer) flushRange(key Key, off, n int) error {
+	if err := b.sink.FlushBlock(key, off, n); err != nil {
+		return err
+	}
+	b.flushedBytes.Add(int64(n))
+	return nil
+}
+
+// flush writes the entry's extent to the sink and removes it. It opens no
+// span: the sink's own spans are the causal record of the flush.
+func (b *Buffer) flush(e *entry) error {
+	if err := b.flushRange(e.key, 0, e.extent); err != nil {
 		return err
 	}
 	b.drop(e)
 	return nil
 }
 
-// victim picks the next entry to evict under the configured policy.
-func (b *Buffer) victim() *entry {
+// Evict flushes the block the eviction policy picks. It reports false
+// when nothing is buffered. The storage manager calls it when its DRAM
+// page pool runs dry, before it places a new block.
+func (b *Buffer) Evict() (bool, error) {
+	e := b.writeOrder.Front()
 	if b.cfg.Policy == EvictFIFO {
-		return b.dirtyOrder.Front()
+		e = b.dirtyOrder.Front()
 	}
-	return b.writeOrder.Front()
+	if e == nil {
+		return false, nil
+	}
+	b.evictions.Inc()
+	return true, b.flush(e)
 }
 
 func (b *Buffer) ensureCapacity() error {
 	for b.size > b.cfg.CapacityBytes {
-		e := b.victim()
-		if e == nil {
-			return nil
-		}
-		b.evictions.Inc()
-		if err := b.flush(e); err != nil {
+		if ok, err := b.Evict(); !ok || err != nil {
 			return err
 		}
 	}
@@ -435,10 +468,7 @@ func (b *Buffer) Tick() error {
 	now := b.clock.Now()
 	for {
 		e := b.dirtyOrder.Front()
-		if e == nil {
-			return nil
-		}
-		if now.Sub(e.dirtySince) < b.cfg.WriteBackDelay {
+		if e == nil || now.Sub(e.dirtySince) < b.cfg.WriteBackDelay {
 			return nil
 		}
 		b.daemonFlush.Inc()
@@ -446,6 +476,17 @@ func (b *Buffer) Tick() error {
 			return err
 		}
 	}
+}
+
+// FlushObject flushes the object's buffered blocks in block order — an
+// fsync of one file.
+func (b *Buffer) FlushObject(object uint64) error {
+	for _, e := range b.objectBlocks(object) {
+		if err := b.flush(e); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Sync flushes everything, oldest dirty first. The flushes are forced
@@ -462,6 +503,43 @@ func (b *Buffer) Sync() error {
 			return err
 		}
 	}
+}
+
+// CheckInvariants verifies the buffer's indexes against each other: both
+// orders and the per-object mirror hold exactly the buffered blocks, and
+// Size is the sum of their extents.
+func (b *Buffer) CheckInvariants() error {
+	var size int64
+	mirrored := 0
+	for obj, blocks := range b.byObject {
+		n := 0
+		for e := blocks.Front(); e != nil; e = e.links[objLink].next {
+			if e.key.Object != obj || b.entries[e.key] != e {
+				return fmt.Errorf("wbuf: object %d lists %+v, not a buffered entry", obj, e.key)
+			}
+			if e.extent < 0 || e.extent > b.cfg.BlockBytes {
+				return fmt.Errorf("wbuf: block %+v extent %d out of range", e.key, e.extent)
+			}
+			if !e.links[lruLink].queued || !e.links[fifoLink].queued {
+				return fmt.Errorf("wbuf: block %+v missing from the dirty orders", e.key)
+			}
+			size += int64(e.extent)
+			n++
+		}
+		if n == 0 || n != blocks.n {
+			return fmt.Errorf("wbuf: object %d lists %d blocks, counts %d", obj, n, blocks.n)
+		}
+		mirrored += n
+	}
+	switch {
+	case mirrored != len(b.entries):
+		return fmt.Errorf("wbuf: byObject mirrors %d blocks, %d buffered", mirrored, len(b.entries))
+	case b.writeOrder.n != mirrored || b.dirtyOrder.n != mirrored:
+		return fmt.Errorf("wbuf: dirty orders hold %d and %d blocks, %d buffered", b.writeOrder.n, b.dirtyOrder.n, mirrored)
+	case size != b.size:
+		return fmt.Errorf("wbuf: extents sum to %d, size says %d", size, b.size)
+	}
+	return nil
 }
 
 // Stats summarises the buffer's traffic accounting.
